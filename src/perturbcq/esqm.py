@@ -21,7 +21,7 @@ import numpy as np
 
 from .convexsolve import OPTIMAL, CappedSimplexQp, solve_capped_simplex_qp
 from .model import PerturbationSpec, ProblemInstance
-from .poly import Polynomial
+from .poly import Polynomial, hessians_many, jacobians_many, values_many
 
 __all__ = [
     "EsqmParams",
@@ -139,29 +139,12 @@ def estimate_lipschitz(
         corners = np.array(list(itertools.product(*box)), dtype=float)
         pts = np.vstack([pts, corners])
 
-    def bound(p: Polynomial) -> float:
-        hess = p.hessian()
-        worst = 0.0
-        n = prob.num_vars
-        H = np.empty((pts.shape[0], n, n))
-        for a in range(n):
-            for b in range(a, n):
-                vals = hess[a][b].evaluate_many(pts)
-                H[:, a, b] = vals
-                H[:, b, a] = vals
-        eigs = np.linalg.eigvalsh(H)
-        worst = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-        return 1.5 * worst
+    def curvature(polys) -> list[float]:
+        eigs = np.linalg.eigvalsh(hessians_many(polys, pts))  # (S, m, n)
+        return [1.5 * float(w) for w in np.max(np.abs(eigs), axis=(0, 2), initial=0.0)]
 
-    L_obj = bound(prob.objective) if prob.objective is not None else 0.0
-    return L_obj, [bound(g) for g in prob.inequalities]
-
-
-def _linearization_data(prob, f, x, bounds):
-    grad_f = np.array([p.evaluate(x) for p in f.gradient()])
-    c = np.array([g.evaluate(x) for g in prob.inequalities])
-    A = np.array([[p.evaluate(x) for p in g.gradient()] for g in prob.inequalities])
-    return grad_f, c - bounds, A
+    L_obj = curvature([prob.objective])[0] if prob.objective is not None else 0.0
+    return L_obj, curvature(prob.inequalities)
 
 
 def esqm_step(
@@ -176,7 +159,10 @@ def esqm_step(
         raise ValueError("beta_k must be positive")
     x_k = np.asarray(x_k, dtype=float)
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
-    grad_f, shifted, A = _linearization_data(prob, f, x_k, bounds)
+    X = x_k[None, :]
+    grad_f = jacobians_many([f], X)[0, 0]
+    shifted = values_many(prob.inequalities, X)[0] - bounds
+    A = jacobians_many(prob.inequalities, X)[0]
     rho = params.curvature_obj + beta_k * params.curvature_con
 
     Q = -(A @ A.T) / rho
@@ -199,14 +185,12 @@ def kkt_residual(prob: ProblemInstance, f: Polynomial, x, lam,
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("multipliers must be nonnegative")
-    bounds = pert.bounds(prob)
-    grad = np.array([p.evaluate(x) for p in f.gradient()])
-    vals = np.array([g.evaluate(x) for g in prob.inequalities])
-    for lam_i, g in zip(lam, prob.inequalities):
-        grad += lam_i * np.array([p.evaluate(x) for p in g.gradient()])
+    X = x[None, :]
+    shifted = values_many(prob.inequalities, X)[0] - pert.bounds(prob)
+    grad = jacobians_many([f], X)[0, 0] + lam @ jacobians_many(prob.inequalities, X)[0]
     stationarity = float(np.max(np.abs(grad)))
-    comp = float(np.max(np.abs(lam * (vals - bounds)))) if len(lam) else 0.0
-    feas = float(np.max(np.maximum(vals - bounds, 0.0)))
+    comp = float(np.max(np.abs(lam * shifted))) if len(lam) else 0.0
+    feas = float(np.max(np.maximum(shifted, 0.0)))
     return max(stationarity, comp, feas)
 
 
@@ -218,25 +202,24 @@ def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
     trace = EsqmTrace(beta0_used=params.beta0)
 
     def record(x_, s_, beta_, mu_):
-        vals = np.array([g.evaluate(x_) for g in prob.inequalities])
+        shifted = values_many(prob.inequalities, x_[None, :])[0] - bounds
         trace.xs.append(tuple(x_))
         trace.slacks.append(float(s_))
         trace.betas.append(float(beta_))
         trace.multipliers.append(tuple(mu_))
         trace.kkt_residuals.append(kkt_residual(prob, f, x_, mu_, pert))
         trace.objectives.append(float(f.evaluate(x_)))
-        trace.infeasibilities.append(float(np.max(np.maximum(vals - bounds, 0.0))))
+        trace.infeasibilities.append(float(np.max(np.maximum(shifted, 0.0))))
 
     record(x, 0.0, beta, np.zeros(len(prob.inequalities)))
     for _ in range(params.max_iter):
         y, s, mu = esqm_step(prob, f, x, params, beta)
         # penalty update: keep beta only if every linearization at the old
-        # point is satisfied at the new point without slack
-        _, shifted, A = _linearization_data(prob, f, x, bounds)
-        lin_ok = bool(np.all(shifted + A @ (y - x) <= 1e-12))
+        # point is satisfied at the new point without slack; s is the largest
+        # linearized violation, clamped at 0
         step = float(np.linalg.norm(y - x))
         x = y
-        beta_next = beta if lin_ok else beta + params.delta
+        beta_next = beta if s <= 1e-12 else beta + params.delta
         record(x, s, beta_next, mu)
         if step <= params.step_tol and trace.kkt_residuals[-1] <= params.kkt_tol:
             trace.termination = "converged"

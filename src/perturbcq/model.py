@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, univariate_real_roots
+from .poly import Polynomial, univariate_real_roots, values_many
 
 __all__ = [
     "PerturbationSpec",
@@ -146,21 +146,22 @@ class ProblemInstance:
         return doc
 
 
+def _shifted_values(prob: ProblemInstance, pert: PerturbationSpec, x):
+    """(g_i(x) - bound_i for every inequality, max |equality residual|)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (prob.num_vars,):
+        raise ValueError(f"point has shape {x.shape}, expected ({prob.num_vars},)")
+    shifted = values_many(prob.inequalities, x[None, :])[0] - pert.bounds(prob)
+    eq = np.abs(values_many(prob.equalities, x[None, :])[0])
+    return shifted, float(np.max(eq, initial=0.0))
+
+
 def feasibility_residual(
     prob: ProblemInstance, pert: PerturbationSpec, x
 ) -> tuple[float, float]:
     """(max inequality violation clamped at 0, max |equality residual|)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (prob.num_vars,):
-        raise ValueError(f"point has shape {x.shape}, expected ({prob.num_vars},)")
-    b = pert.bounds(prob)
-    ineq = 0.0
-    for g, bi in zip(prob.inequalities, b):
-        ineq = max(ineq, g.evaluate(x) - bi)
-    eq = 0.0
-    for h in prob.equalities:
-        eq = max(eq, abs(h.evaluate(x)))
-    return ineq, eq
+    shifted, eq = _shifted_values(prob, pert, x)
+    return float(np.max(shifted, initial=0.0)), eq
 
 
 def active_set(
@@ -170,18 +171,13 @@ def active_set(
     tau_act: float = DEFAULT_ACTIVE_TOL,
 ) -> ActiveSet:
     """Indices i with bound_i - g_i(x) <= tau_act; x must be feasible to tau_act."""
-    x = np.asarray(x, dtype=float)
-    ineq, eq = feasibility_residual(prob, pert, x)
-    if max(ineq, eq) > tau_act:
+    shifted, eq = _shifted_values(prob, pert, x)
+    violation = max(float(np.max(shifted, initial=0.0)), eq)
+    if violation > tau_act:
         raise ValueError(
-            f"point is infeasible (violation {max(ineq, eq):.3e} > tau_act {tau_act:.1e})"
+            f"point is infeasible (violation {violation:.3e} > tau_act {tau_act:.1e})"
         )
-    b = pert.bounds(prob)
-    idx = tuple(
-        i
-        for i, (g, bi) in enumerate(zip(prob.inequalities, b))
-        if bi - g.evaluate(x) <= tau_act
-    )
+    idx = tuple(int(i) for i in np.flatnonzero(-shifted <= tau_act))
     return ActiveSet(indices=idx, tolerance=tau_act)
 
 
@@ -361,7 +357,7 @@ def univariate_feasible_intervals(
     pts = sorted(breakpoints)
 
     def violation(t: float) -> float:
-        return max(g.evaluate(np.array([t])) - bi for g, bi in zip(prob.inequalities, b))
+        return float(np.max(values_many(prob.inequalities, [[t]])[0] - b))
 
     seg_ok = [
         violation(0.5 * (a + c)) <= 0.0 for a, c in zip(pts, pts[1:])

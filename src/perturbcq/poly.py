@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Monomial", "Polynomial", "univariate_real_roots"]
+__all__ = [
+    "Monomial",
+    "Polynomial",
+    "values_many",
+    "jacobians_many",
+    "hessians_many",
+    "univariate_real_roots",
+]
 
 
 @dataclass(frozen=True)
@@ -25,9 +32,10 @@ class Polynomial:
     dropped, and stored in descending graded-lexicographic order so that
     serialization and floating-point accumulation are reproducible.
     The zero polynomial has no terms and degree 0 by convention.
+    The partial derivatives are built on first use and kept.
     """
 
-    __slots__ = ("num_vars", "_coefs", "_exps")
+    __slots__ = ("num_vars", "_coefs", "_exps", "_grad")
 
     def __init__(self, num_vars: int, terms=()):
         if num_vars < 0:
@@ -52,6 +60,7 @@ class Polynomial:
             else np.zeros((0, num_vars), dtype=np.int64)
         )
         self.num_vars = num_vars
+        self._grad = None
 
     # construction helpers -------------------------------------------------
 
@@ -202,11 +211,13 @@ class Polynomial:
         return Polynomial(self.num_vars, terms)
 
     def gradient(self) -> list["Polynomial"]:
-        return [self.derivative(k) for k in range(self.num_vars)]
+        """Partial derivatives, built once; each call returns a fresh list."""
+        if self._grad is None:
+            self._grad = tuple(self.derivative(k) for k in range(self.num_vars))
+        return list(self._grad)
 
     def hessian(self) -> list[list["Polynomial"]]:
-        grad = self.gradient()
-        return [[g.derivative(k) for k in range(self.num_vars)] for g in grad]
+        return [g.gradient() for g in self.gradient()]
 
     # serialization ----------------------------------------------------------
 
@@ -223,9 +234,40 @@ class Polynomial:
         return cls(num_vars, [(t["coef"], t["exps"]) for t in data["terms"]])
 
 
-def gradient(p: Polynomial) -> list[Polynomial]:
-    """Gradient as a vector of polynomials (module-level convenience)."""
-    return p.gradient()
+# batch evaluation: the one way the package evaluates constraints and their
+# derivatives.  X has shape (S, num_vars); single points pass x[None, :].
+
+
+def values_many(polys, X) -> np.ndarray:
+    """Values of each polynomial at each point, shape (S, m)."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty((X.shape[0], len(polys)))
+    for i, p in enumerate(polys):
+        out[:, i] = p.evaluate_many(X)
+    return out
+
+
+def jacobians_many(polys, X) -> np.ndarray:
+    """Gradients of each polynomial at each point, shape (S, m, n)."""
+    X = np.asarray(X, dtype=float)
+    S, n = X.shape
+    partials = [d for p in polys for d in p.gradient()]
+    return values_many(partials, X).reshape(S, len(polys), n)
+
+
+def hessians_many(polys, X) -> np.ndarray:
+    """Hessians of each polynomial at each point, shape (S, m, n, n); the
+    upper triangle is evaluated and mirrored."""
+    X = np.asarray(X, dtype=float)
+    S, n = X.shape
+    rows, cols = np.triu_indices(n)
+    out = np.empty((S, len(polys), n, n))
+    for i, p in enumerate(polys):
+        hess = p.hessian()
+        upper = values_many([hess[a][b] for a, b in zip(rows, cols)], X)
+        out[:, i, rows, cols] = upper
+        out[:, i, cols, rows] = upper
+    return out
 
 
 def _coeffs_ascending(p: Polynomial) -> np.ndarray:

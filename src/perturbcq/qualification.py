@@ -18,6 +18,7 @@ from .model import (
     active_set,
     feasibility_residual,
 )
+from .poly import jacobians_many, values_many
 
 __all__ = [
     "MfcqCertificate",
@@ -69,12 +70,6 @@ class MfcqCertificate:
         return -(self.hull_distance or 0.0)
 
 
-def _gradient_matrix(polys, x) -> np.ndarray:
-    if not polys:
-        return np.zeros((0, len(x)))
-    return np.array([[g.evaluate(x) for g in p.gradient()] for p in polys])
-
-
 def equality_gradients_independent(
     prob: ProblemInstance, x, tol_rank: float = 1e-9
 ) -> bool:
@@ -85,7 +80,7 @@ def equality_gradients_independent(
         return True
     if r > prob.num_vars:
         return False
-    H = _gradient_matrix(prob.equalities, x)
+    H = jacobians_many(prob.equalities, x[None, :])[0]
     sv = np.linalg.svd(H, compute_uv=False)
     return bool(sv[-1] > tol_rank * max(1.0, sv[0]))
 
@@ -93,8 +88,8 @@ def equality_gradients_independent(
 def _prepare(prob, pert, x, tau_act):
     x = np.asarray(x, dtype=float)
     act = active_set(prob, pert, x, tau_act)  # raises on infeasible x
-    G = _gradient_matrix([prob.inequalities[i] for i in act.indices], x)
-    H = _gradient_matrix(prob.equalities, x)
+    G = jacobians_many([prob.inequalities[i] for i in act.indices], x[None, :])[0]
+    H = jacobians_many(prob.equalities, x[None, :])[0]
     return x, act, G, H
 
 
@@ -124,7 +119,6 @@ def check_mfcq_lp(
     """
     x, act, G, H = _prepare(prob, pert, x, tau_act)
     if not equality_gradients_independent(prob, x):
-        kappa, _ = _fit_kappa(H, np.zeros(prob.num_vars))
         return MfcqCertificate(
             verdict=FAILS,
             active=act,
@@ -187,7 +181,7 @@ def check_mfcq_lp(
     )
 
 
-def _min_quad_simplex(M: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+def _min_quad_simplex(M: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize lam' M lam over the unit simplex (M PSD); returns (lam, value).
 
     Projected gradient with a final exact solve on the identified support.
@@ -262,7 +256,7 @@ def check_mfcq_hull(
     else:
         Gp = G
     M = Gp @ Gp.T
-    lam, val = _min_quad_simplex(M, tol)
+    lam, val = _min_quad_simplex(M)
     dist = math.sqrt(max(val, 0.0))
     w = G.T @ lam
     kappa, _ = _fit_kappa(H, w - Gp.T @ lam)
@@ -325,6 +319,11 @@ class SweepResult:
         return counts[FAILS] == 0 and counts[DEGENERATE] == 0 and bool(self.rows)
 
 
+def _max_violation(prob, b, P) -> np.ndarray:
+    """max_i g_i(p) - b_i at each row p of P."""
+    return np.max(values_many(prob.inequalities, P) - b, axis=1)
+
+
 def _find_interior_point(prob, pert, rng, attempts) -> np.ndarray | None:
     box = prob.box_array()
     b = pert.bounds(prob)
@@ -333,11 +332,7 @@ def _find_interior_point(prob, pert, rng, attempts) -> np.ndarray | None:
     done = 0
     while done < attempts:
         pts = rng.uniform(box[:, 0], box[:, 1], size=(batch, prob.num_vars))
-        vals = np.full(batch, -np.inf)
-        stacked = np.stack(
-            [g.evaluate_many(pts) - bi for g, bi in zip(prob.inequalities, b)]
-        )
-        vals = stacked.max(axis=0)
+        vals = _max_violation(prob, b, pts)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best, best_val = pts[i], float(vals[i])
@@ -370,12 +365,6 @@ def sweep_mfcq(
     if x0 is None:
         return SweepResult(status="infeasible")
 
-    def violation_many(P: np.ndarray) -> np.ndarray:
-        return np.max(
-            np.stack([g.evaluate_many(P) - bi for g, bi in zip(prob.inequalities, b)]),
-            axis=0,
-        )
-
     span = float(np.max(box[:, 1] - box[:, 0]))
     rows: list[SweepRow] = []
     worst = math.inf
@@ -396,7 +385,7 @@ def sweep_mfcq(
                 break
             pts = x0 + t[:, None] * dirs
             inbox = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)
-            infeasible = violation_many(pts) > 0
+            infeasible = _max_violation(prob, b, pts) > 0
             hit = alive & inbox & infeasible
             t_hi[hit] = t[hit]
             alive &= inbox & ~infeasible  # rays exiting the box are dropped
@@ -406,7 +395,7 @@ def sweep_mfcq(
         t_lo, t_hi, dirs = t_lo[keep], t_hi[keep], dirs[keep]
         for _ in range(config.bisect_iters):
             mid = 0.5 * (t_lo + t_hi)
-            bad = violation_many(x0 + mid[:, None] * dirs) > 0
+            bad = _max_violation(prob, b, x0 + mid[:, None] * dirs) > 0
             t_hi = np.where(bad, mid, t_hi)
             t_lo = np.where(bad, t_lo, mid)
         for xb in x0 + t_lo[:, None] * dirs:

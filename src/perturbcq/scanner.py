@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemInstance
+from .poly import hessians_many, jacobians_many, values_many
 
 __all__ = [
     "SingularSystem",
@@ -127,16 +128,15 @@ class SingularSystem:
         self.n, self.r = n, r
         self.num_unknowns = n + len(K) + r + 1
         self.num_rows = n + 1 + len(L) + r
-        self._L_perturbed = tuple(j in pert for j in L)
-
-        self._gK = [prob.inequalities[i] for i in K]
-        self._gK_grad = [g.gradient() for g in self._gK]
-        self._gK_hess = [g.hessian() for g in self._gK]
+        self._L_perturbed = np.array([j in pert for j in L], dtype=bool)
+        # stationarity rows combine the gradients of g_K and h with weights
+        # (lam, -kappa)
+        self._stationary = [prob.inequalities[i] for i in K] + list(prob.equalities)
         self._gL = [prob.inequalities[j] for j in L]
-        self._gL_grad = [g.gradient() for g in self._gL]
         self._h = list(prob.equalities)
-        self._h_grad = [h.gradient() for h in self._h]
-        self._h_hess = [h.hessian() for h in self._h]
+        outside = [j for j in range(m) if j not in L]
+        self._g_outside = [prob.inequalities[j] for j in outside]
+        self._outside_perturbed = np.array([j in pert for j in outside], dtype=bool)
 
     # --- batched evaluation helpers ---------------------------------------
 
@@ -144,66 +144,36 @@ class SingularSystem:
         n, k, r = self.n, len(self.K), self.r
         return Z[:, :n], Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
 
-    @staticmethod
-    def _grad_at(grads, X) -> np.ndarray:
-        return np.stack([g.evaluate_many(X) for g in grads], axis=1)  # (S, n)
-
-    @staticmethod
-    def _hess_at(hess, X) -> np.ndarray:
-        n = len(hess)
-        S = X.shape[0]
-        out = np.empty((S, n, n))
-        for a in range(n):
-            for b in range(a, n):
-                vals = hess[a][b].evaluate_many(X)
-                out[:, a, b] = vals
-                out[:, b, a] = vals
-        return out
-
     def residual_batch(self, Z: np.ndarray) -> np.ndarray:
         X, Lam, Kap, Alpha = self._split(Z)
-        S = Z.shape[0]
-        F = np.empty((S, self.num_rows))
-        stat = np.zeros((S, self.n))
-        for idx, grads in enumerate(self._gK_grad):
-            stat += Lam[:, idx : idx + 1] * self._grad_at(grads, X)
-        for j, grads in enumerate(self._h_grad):
-            stat -= Kap[:, j : j + 1] * self._grad_at(grads, X)
-        F[:, : self.n] = stat
-        F[:, self.n] = Lam.sum(axis=1) - 1.0
-        for pos, (g, perturbed) in enumerate(zip(self._gL, self._L_perturbed)):
-            vals = g.evaluate_many(X)
-            F[:, self.n + 1 + pos] = vals - Alpha if perturbed else vals
-        for j, h in enumerate(self._h):
-            F[:, self.n + 1 + len(self.L) + j] = h.evaluate_many(X)
+        n, L = self.n, len(self.L)
+        F = np.empty((Z.shape[0], self.num_rows))
+        grads = jacobians_many(self._stationary, X)
+        F[:, :n] = np.einsum("sk,skn->sn", np.hstack([Lam, -Kap]), grads)
+        F[:, n] = Lam.sum(axis=1) - 1.0
+        F[:, n + 1 : n + 1 + L] = values_many(self._gL, X) - np.where(
+            self._L_perturbed, Alpha[:, None], 0.0
+        )
+        F[:, n + 1 + L :] = values_many(self._h, X)
         return F
 
     def jacobian_batch(self, Z: np.ndarray) -> np.ndarray:
         X, Lam, Kap, _ = self._split(Z)
-        S = Z.shape[0]
-        n, k, r = self.n, len(self.K), self.r
-        J = np.zeros((S, self.num_rows, self.num_unknowns))
+        n, k, L = self.n, len(self.K), len(self.L)
+        J = np.zeros((Z.shape[0], self.num_rows, self.num_unknowns))
+        grads = jacobians_many(self._stationary, X)
+        hess = hessians_many(self._stationary, X)
         # stationarity rows
-        for idx in range(k):
-            Gi = self._grad_at(self._gK_grad[idx], X)
-            J[:, :n, :n] += Lam[:, idx, None, None] * self._hess_at(self._gK_hess[idx], X)
-            J[:, :n, n + idx] = Gi
-        for j in range(r):
-            Hj = self._grad_at(self._h_grad[j], X)
-            J[:, :n, :n] -= Kap[:, j, None, None] * self._hess_at(self._h_hess[j], X)
-            J[:, :n, n + k + j] = -Hj
+        J[:, :n, :n] = np.einsum("sk,skab->sab", np.hstack([Lam, -Kap]), hess)
+        J[:, :n, n : n + k] = np.swapaxes(grads[:, :k], 1, 2)
+        J[:, :n, n + k : -1] = -np.swapaxes(grads[:, k:], 1, 2)
         # normalization row
         J[:, n, n : n + k] = 1.0
         # activity rows
-        for pos, (grads, perturbed) in enumerate(zip(self._gL_grad, self._L_perturbed)):
-            row = n + 1 + pos
-            J[:, row, :n] = self._grad_at(grads, X)
-            if perturbed:
-                J[:, row, -1] = -1.0
+        J[:, n + 1 : n + 1 + L, :n] = jacobians_many(self._gL, X)
+        J[:, n + 1 : n + 1 + L, -1] = np.where(self._L_perturbed, -1.0, 0.0)
         # equality rows
-        for j in range(r):
-            row = n + 1 + len(self.L) + j
-            J[:, row, :n] = self._grad_at(self._h_grad[j], X)
+        J[:, n + 1 + L :, :n] = grads[:, k:]
         return J
 
     def residual(self, x, lam, kappa, alpha) -> np.ndarray:
@@ -218,15 +188,9 @@ class SingularSystem:
         """(min lambda entry, min strict-slack margin over constraints not in L)."""
         lam = np.asarray(lam, dtype=float)
         x = np.asarray(x, dtype=float)
-        pert = set(self.prob.perturbable)
-        margins = []
-        for ell, g in enumerate(self.prob.inequalities):
-            if ell in self.L:
-                continue
-            bound = alpha if ell in pert else 0.0
-            margins.append(bound - g.evaluate(x))
-        slack = min(margins) if margins else math.inf
-        return float(lam.min()), float(slack)
+        bounds = np.where(self._outside_perturbed, alpha, 0.0)
+        slack = bounds - values_many(self._g_outside, x[None, :])[0]
+        return float(lam.min()), float(np.min(slack, initial=math.inf))
 
 
 def build_singular_system(prob: ProblemInstance, K, L) -> SingularSystem:

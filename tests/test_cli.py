@@ -193,6 +193,21 @@ def test_objective_dimension_mismatch_exits_2(capsys):
     assert "expected 2" in capsys.readouterr().err
 
 
+def test_solver_failure_exits_2_without_traceback(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("subproblem dual did not solve: max_iter")
+
+    monkeypatch.setattr("perturbcq.cli.run_esqm", fail)
+    code = main(
+        ["esqm", "--problem", "cusp_boxed", "--alpha", "0.1",
+         "--objective-linear=-1,0", "--beta0", "10"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: subproblem dual did not solve" in err
+    assert "Traceback" not in err
+
+
 def test_scan_determinism_across_invocations(capsys):
     argv = ["scan", "--problem", "cusp", "--window=-0.5,0.5", "--starts", "100",
             "--seed", "11", "--format", "json"]

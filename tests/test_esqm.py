@@ -237,6 +237,38 @@ def test_run_cusp_boxed_vertex():
     assert trace.x_final == pytest.approx([0.1 ** (1 / 3), 0.0], abs=1e-7)
 
 
+def test_run_penalty_grows_exactly_when_linearization_needs_slack():
+    prob = catalog("cusp_boxed")
+    f = linear_objective(2, (-1.0, 0.0))
+    L_obj, L_con = estimate_lipschitz(prob)
+    params = EsqmParams(
+        alpha=0.1,
+        beta0=1.0,
+        delta=1.0,
+        curvature_obj=max(L_obj, 1.0),
+        curvature_con=max(L_con),
+        max_iter=1000,
+    )
+    x0 = np.random.default_rng(0).uniform(-2.0, 1.0, size=2)
+    trace = run_esqm(prob, f, x0, params)
+    bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
+    kept = grown = 0
+    for k in range(len(trace.xs) - 1):
+        xk, xnext = np.array(trace.xs[k]), np.array(trace.xs[k + 1])
+        # linearization at x_k, rebuilt from fresh derivatives
+        shifted = np.array([g.evaluate(xk) for g in prob.inequalities]) - bounds
+        A = np.array(
+            [[g.derivative(j).evaluate(xk) for j in range(2)] for g in prob.inequalities]
+        )
+        expected = max(0.0, float(np.max(shifted + A @ (xnext - xk))))
+        assert trace.slacks[k + 1] == pytest.approx(expected, abs=1e-10)
+        same = trace.betas[k + 1] == trace.betas[k]
+        assert same == (trace.slacks[k + 1] <= 1e-12)
+        kept += same
+        grown += not same
+    assert kept > 0 and grown > 0  # both branches of the rule are exercised
+
+
 def test_run_unconstrained_interior_minimum():
     prob = catalog("cusp")
     x1 = Polynomial.variable(2, 0)

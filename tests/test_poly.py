@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perturbcq.poly import Monomial, Polynomial, univariate_real_roots
+from perturbcq.poly import (
+    Monomial,
+    Polynomial,
+    hessians_many,
+    jacobians_many,
+    univariate_real_roots,
+    values_many,
+)
 
 
 def x(n, i):
@@ -116,6 +125,73 @@ def test_hessian_is_symmetric():
     H = p.hessian()
     pt = [0.3, -0.7]
     assert H[0][1].evaluate(pt) == pytest.approx(H[1][0].evaluate(pt), abs=1e-12)
+
+
+@st.composite
+def _polys_and_points(draw, max_degree=4):
+    """1-3 polynomials in n = 1..4 variables of degree <= max_degree, and
+    1-5 points in [-2, 2]^n."""
+    n = draw(st.integers(1, 4))
+
+    def exponents():
+        left, out = max_degree, []
+        for _ in range(n):
+            e = draw(st.integers(0, left))
+            out.append(e)
+            left -= e
+        return tuple(draw(st.permutations(out)))
+
+    coef = st.floats(-10.0, 10.0, allow_nan=False)
+    polys = [
+        Polynomial(n, [(draw(coef), exponents()) for _ in range(draw(st.integers(0, 6)))])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    X = np.array([[draw(coord) for _ in range(n)] for _ in range(draw(st.integers(1, 5)))])
+    return polys, X
+
+
+def _assert_close(got, ref, scale):
+    # 1e-12 relative to the size of the terms summed (|coefs| at |x|)
+    assert abs(got - ref) <= 1e-12 * max(1.0, scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys_and_points())
+def test_batch_evaluators_match_fresh_derivatives(case):
+    polys, X = case
+    S, n = X.shape
+    vals, jac, hess = values_many(polys, X), jacobians_many(polys, X), hessians_many(polys, X)
+    assert vals.shape == (S, len(polys))
+    assert jac.shape == (S, len(polys), n)
+    assert hess.shape == (S, len(polys), n, n)
+    for s, x in enumerate(X):
+        for i, p in enumerate(polys):
+            _assert_close(vals[s, i], p.evaluate(x), p.evaluate_abs(x))
+            for a in range(n):
+                da = p.derivative(a)
+                _assert_close(jac[s, i, a], da.evaluate(x), da.evaluate_abs(x))
+                for b in range(n):
+                    dab = da.derivative(b)
+                    _assert_close(hess[s, i, a, b], dab.evaluate(x), dab.evaluate_abs(x))
+    for p in polys:
+        grad = p.gradient()
+        grad[0] = Polynomial.constant(p.num_vars, 99.0)
+        grad.append(Polynomial.zero(p.num_vars))
+        assert p.gradient() == [p.derivative(k) for k in range(p.num_vars)]
+
+
+def test_derivatives_built_once_per_polynomial():
+    p = x(2, 0) ** 3 * x(2, 1)
+    assert all(a is b for a, b in zip(p.gradient(), p.gradient()))
+    assert p.hessian()[0][1] is p.hessian()[0][1]
+
+
+def test_batch_evaluators_of_no_polynomials():
+    X = np.zeros((4, 3))
+    assert values_many([], X).shape == (4, 0)
+    assert jacobians_many([], X).shape == (4, 0, 3)
+    assert hessians_many([], X).shape == (4, 0, 3, 3)
 
 
 def test_arithmetic_identities():
