@@ -1,5 +1,6 @@
 """Small dense convex solvers: an LP front-end (separating-direction form)
-and a capped-simplex concave QP solved by projected gradient."""
+and one exact active-set solver for convex QPs over a scaled simplex, which
+also solves the capped-simplex concave QP through a slack coordinate."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ __all__ = [
     "CappedSimplexQp",
     "SolveStatus",
     "solve_lp",
+    "minimize_simplex_qp",
     "solve_capped_simplex_qp",
     "project_capped_simplex",
     "project_simplex",
@@ -144,7 +146,7 @@ def project_simplex(v, total: float) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - total
     ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
+    cond = u - css / ks >= 0  # >= keeps rho = 0 when total = 0
     rho = int(np.nonzero(cond)[0][-1])
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
@@ -161,64 +163,88 @@ def project_capped_simplex(v, beta: float) -> np.ndarray:
     return project_simplex(v, beta)
 
 
-def _qp_objective(qp: CappedSimplexQp, mu: np.ndarray) -> float:
-    return float(0.5 * mu @ qp.Q @ mu + qp.q @ mu)
+def minimize_simplex_qp(
+    P: np.ndarray, c: np.ndarray, total: float, tol: float = 1e-9, max_iter: int = 10_000
+) -> SolveStatus:
+    """Minimize 0.5 x'Px + c'x over {x >= 0, sum(x) = total}, with P symmetric
+    positive semidefinite and possibly singular.
 
-
-def _face_solve(qp: CappedSimplexQp, support: np.ndarray, cap_active: bool) -> np.ndarray | None:
-    """Exact stationary point on one face (fixed support, cap on/off);
-    returns None when the face system is singular or the point leaves the set."""
-    Q, q, beta = qp.Q, qp.q, qp.beta
-    m = len(q)
-    k = int(support.sum())
-    if k == 0:
-        return np.zeros(m)
-    Qs = Q[np.ix_(support, support)]
-    qs = q[support]
-    if cap_active:
-        # stationarity Q mu + q = eta * 1 on the support, sum = beta
-        Ksys = np.zeros((k + 1, k + 1))
-        Ksys[:k, :k] = Qs
-        Ksys[:k, k] = -1.0
-        Ksys[k, :k] = 1.0
-        rhs = np.concatenate([-qs, [beta]])
-    else:
-        Ksys = Qs
-        rhs = -qs
-    try:
-        sol = np.linalg.solve(Ksys, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    cand = np.zeros(m)
-    cand[support] = sol[:k]
-    if np.any(cand < -1e-12) or cand.sum() > beta + 1e-10:
-        return None
-    return project_capped_simplex(cand, beta)
-
-
-def _qp_polish(qp: CappedSimplexQp, mu: np.ndarray, tol: float) -> np.ndarray | None:
-    """Best exact face solve consistent with mu's support, trying the cap
-    both active and inactive; returns None if neither face is valid."""
-    support = mu > max(tol, 1e-12)
-    candidates = [
-        c
-        for cap_active in (False, True)
-        for c in (_face_solve(qp, support, cap_active),)
-        if c is not None
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda c: _qp_objective(qp, c))
+    Primal active-set method (Nocedal & Wright, Numerical Optimization,
+    ch. 16), started at the best vertex.  The working set holds the
+    coordinates fixed at zero; each iteration minimizes over the face of the
+    free ones, in an orthonormal basis of {sum(d) = 0}.  When the reduced
+    gradient has a component above tol along a zero-curvature direction of
+    the reduced Hessian, the step follows that direction to the boundary;
+    otherwise it is the Newton step on the positive-curvature part.  A step
+    is cut at the first coordinate it drives to zero, which joins the
+    working set.  Only an uncut Newton step lands on the face minimizer, so
+    only then are the multipliers g_i - eta of the fixed coordinates
+    examined (eta is the multiplier of the sum): the most negative one below
+    -tol is released, and when none is, the point is optimal.  Each of the
+    max_iter iterations costs one face solve.
+    """
+    P = np.asarray(P, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    x = np.zeros(n)
+    if total == 0:
+        return SolveStatus(status=OPTIMAL, objective=0.0, x=x)
+    j = int(np.argmin(0.5 * total * total * np.diag(P) + total * c))
+    x[j] = total
+    free = np.zeros(n, dtype=bool)
+    free[j] = True
+    # eigenvalues of the reduced Hessian below this are roundoff of zero
+    curv_tol = 1e-12 * float(np.max(np.abs(P)))
+    status = ITER_LIMIT
+    for _ in range(max_iter):
+        F = np.flatnonzero(free)
+        d = np.zeros(n)
+        cap, newton = 1.0, True
+        if len(F) > 1:
+            Z = np.linalg.qr(np.ones((len(F), 1)), mode="complete")[0][:, 1:]
+            w, V = np.linalg.eigh(Z.T @ P[np.ix_(F, F)] @ Z)
+            r = V.T @ (Z.T @ (P[F] @ x + c[F]))
+            flat = (w <= curv_tol) & (np.abs(r) > tol)
+            if flat.any():
+                i = int(np.argmax(np.abs(r) * flat))
+                p = -np.sign(r[i]) * V[:, i]
+                cap = abs(r[i]) / w[i] if w[i] > 0 else np.inf
+                newton = False
+            else:
+                curved = w > curv_tol
+                p = -V[:, curved] @ (r[curved] / w[curved])
+            d[F] = Z @ p
+        shrinking = d < 0
+        ratios = np.full(n, np.inf)
+        ratios[shrinking] = x[shrinking] / -d[shrinking]
+        b = int(np.argmin(ratios))
+        if ratios[b] < cap:
+            x = np.maximum(x + ratios[b] * d, 0.0)
+            x[b] = 0.0
+            free[b] = False
+            continue
+        x = np.maximum(x + cap * d, 0.0)
+        if not newton:
+            continue
+        g = P @ x + c
+        mult = np.where(free, np.inf, g - np.mean(g[free]))
+        i = int(np.argmin(mult))
+        if mult[i] >= -tol:
+            status = OPTIMAL
+            break
+        free[i] = True
+    return SolveStatus(status=status, objective=float(0.5 * x @ P @ x + c @ x), x=x)
 
 
 def solve_capped_simplex_qp(
     qp: CappedSimplexQp, tol: float = 1e-9, max_iter: int = 10_000
 ) -> SolveStatus:
-    """Projected gradient with exact projection and monotone line search.
+    """Exact solve by minimize_simplex_qp on the embedding
+    {(mu, slack) >= 0, sum(mu) + slack = beta} with zero cost on the slack.
 
-    The fixed-point residual ||mu - proj(mu + grad)||_inf is the reported KKT
-    residual.  A final exact solve on the identified face tightens the
-    answer when the face guess is consistent.
+    tol bounds the multipliers' sign violation and max_iter the face solves.
+    The fixed-point residual ||mu - proj(mu + grad)||_inf is the reported
+    KKT residual.
     """
     Q = np.asarray(qp.Q, dtype=float)
     q = np.asarray(qp.q, dtype=float)
@@ -232,56 +258,16 @@ def solve_capped_simplex_qp(
     scale = max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 0.0)
     if len(eigs) and eigs[-1] > 1e-9 * scale:
         raise ValueError("Q must be negative semidefinite")
-    qp = CappedSimplexQp(Q=Q, q=q, beta=float(qp.beta))
 
-    L = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    step = 1.0 / L if L > 0 else 1.0
-    mu = project_capped_simplex(np.zeros_like(q), qp.beta)
-    obj = _qp_objective(qp, mu)
-
-    def residual(m_):
-        g = Q @ m_ + q
-        return float(np.max(np.abs(m_ - project_capped_simplex(m_ + g, qp.beta))))
-
-    status = ITER_LIMIT
-    for it in range(max_iter):
-        g = Q @ mu + q
-        trial_step = step
-        for _ in range(40):
-            cand = project_capped_simplex(mu + trial_step * g, qp.beta)
-            cand_obj = _qp_objective(qp, cand)
-            if cand_obj >= obj - 1e-15 * max(1.0, abs(obj)):
-                break
-            trial_step *= 0.5
-        moved = float(np.max(np.abs(cand - mu)))
-        mu, obj = cand, cand_obj
-        if residual(mu) <= tol:
-            status = OPTIMAL
-            break
-        # ill-conditioned faces make plain projected steps crawl; periodically
-        # jump to the exact stationary point of the identified face
-        if moved <= 1e-16 or it % 25 == 24:
-            polished = _qp_polish(qp, mu, tol)
-            if polished is not None:
-                pol_obj = _qp_objective(qp, polished)
-                if residual(polished) <= tol:
-                    mu, obj, status = polished, pol_obj, OPTIMAL
-                    break
-                if pol_obj > obj:
-                    mu, obj = polished, pol_obj
-                    continue
-            if moved <= 1e-16:
-                break
-
-    polished = _qp_polish(qp, mu, tol)
-    if polished is not None:
-        if _qp_objective(qp, polished) >= obj - 1e-12 and residual(polished) <= residual(mu):
-            mu = polished
-            if residual(mu) <= tol:
-                status = OPTIMAL
+    m = len(q)
+    P = np.zeros((m + 1, m + 1))
+    P[:m, :m] = -Q
+    st = minimize_simplex_qp(P, np.append(-q, 0.0), float(qp.beta), tol, max_iter)
+    mu = st.x[:m]
+    fixed_point = project_capped_simplex(mu + Q @ mu + q, qp.beta)
     return SolveStatus(
-        status=status,
-        objective=_qp_objective(qp, mu),
+        status=st.status,
+        objective=float(0.5 * mu @ Q @ mu + q @ mu),
         x=mu,
-        kkt_residual=residual(mu),
+        kkt_residual=float(np.max(np.abs(mu - fixed_point), initial=0.0)),
     )

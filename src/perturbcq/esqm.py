@@ -26,6 +26,7 @@ from .poly import Polynomial, hessians_many, jacobians_many, values_many
 __all__ = [
     "EsqmParams",
     "EsqmTrace",
+    "SubproblemError",
     "HomotopyLevel",
     "HomotopyTrace",
     "estimate_lipschitz",
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-6  # level reported infeasible beyond this final violation
+
+
+class SubproblemError(RuntimeError):
+    """The capped-simplex dual of an ESQM step was not solved."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,9 @@ def esqm_step(
     """One proximal linearized step at penalty beta_k.
 
     Solves the slack-penalized subproblem through its capped-simplex dual and
-    recovers (next point, optimal slack, multipliers).
+    recovers (next point, optimal slack, multipliers).  Raises
+    SubproblemError when the dual QP is not solved; a run reports that as the
+    termination "subproblem_failed".
     """
     if beta_k <= 0:
         raise ValueError("beta_k must be positive")
@@ -170,7 +177,7 @@ def esqm_step(
     q = shifted - A @ grad_f / rho
     status = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta_k), tol=1e-10)
     if status.status != OPTIMAL:
-        raise RuntimeError(f"subproblem dual did not solve: {status.status}")
+        raise SubproblemError(f"subproblem dual did not solve: {status.status}")
     mu = status.x
     y = x_k - (grad_f + A.T @ mu) / rho
     s = max(0.0, float(np.max(shifted + A @ (y - x_k))))
@@ -213,7 +220,11 @@ def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
 
     record(x, 0.0, beta, np.zeros(len(prob.inequalities)))
     for _ in range(params.max_iter):
-        y, s, mu = esqm_step(prob, f, x, params, beta)
+        try:
+            y, s, mu = esqm_step(prob, f, x, params, beta)
+        except SubproblemError:
+            trace.termination = "subproblem_failed"
+            return trace
         # penalty update: keep beta only if every linearization at the old
         # point is satisfied at the new point without slack; s is the largest
         # linearized violation, clamped at 0
@@ -236,6 +247,7 @@ def run_esqm(prob: ProblemInstance, f: Polynomial | None, x0, params: EsqmParams
     The initial penalty must exceed a problem-dependent threshold for the
     iteration to settle; when a run exhausts its budget while the penalty is
     still climbing, it is restarted with beta0 scaled by 10 (up to 3 times).
+    A run whose subproblem could not be solved is not restarted.
     """
     if prob.equalities:
         raise ValueError("run_esqm supports inequality-only problems")
@@ -246,7 +258,7 @@ def run_esqm(prob: ProblemInstance, f: Polynomial | None, x0, params: EsqmParams
     trace = _single_run(prob, f, x0, params_try)
     retries = 0
     while (
-        not trace.converged
+        trace.termination == "max_iter"
         and retries < 3
         and len(trace.betas) >= 2
         and trace.betas[-1] > trace.betas[max(0, len(trace.betas) - 10)]
@@ -263,7 +275,7 @@ class HomotopyLevel:
     alpha: float
     x: tuple[float, ...]
     value: float
-    status: str  # "converged" | "stalled" | "infeasible"
+    status: str  # "converged" | "stalled" | "infeasible" | "subproblem_failed"
     trace: EsqmTrace
 
 
@@ -300,9 +312,11 @@ def homotopy_run(
     """Solve a strictly decreasing schedule of levels, warm-starting each from
     the previous solution; the penalty resets per level.
 
-    Levels whose final point stays infeasible are flagged "infeasible";
-    feasible non-converged levels are flagged "stalled" (a hint that the level
-    may be a singular one)."""
+    Levels whose run stopped on an unsolved subproblem are flagged
+    "subproblem_failed"; levels whose final point stays infeasible are
+    flagged "infeasible"; feasible non-converged levels are flagged "stalled"
+    (a hint that the level may be a singular one).  Only converged and
+    stalled levels warm-start the next one."""
     schedule = [float(a) for a in alpha_schedule]
     if not schedule or any(a <= 0 for a in schedule):
         raise ValueError("schedule must be positive")
@@ -319,7 +333,9 @@ def homotopy_run(
         params = replace(params_template, alpha=alpha, beta0=params_template.beta0)
         trace = run_esqm(prob, f, x, params)
         xf = trace.x_final
-        if trace.infeasibilities[-1] > FEASIBILITY_TOL:
+        if trace.termination == "subproblem_failed":
+            status = "subproblem_failed"
+        elif trace.infeasibilities[-1] > FEASIBILITY_TOL:
             status = "infeasible"
         elif trace.converged:
             status = "converged"
@@ -334,6 +350,6 @@ def homotopy_run(
                 trace=trace,
             )
         )
-        if status != "infeasible":
+        if status in ("converged", "stalled"):
             x = xf
     return out

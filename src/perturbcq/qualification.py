@@ -1,5 +1,6 @@
-"""MFCQ certification: separating-direction LP, convex-hull distance QP,
-equality-gradient rank test, and a boundary sweep."""
+"""MFCQ certification: separating-direction LP, convex-hull distance QP
+(solved exactly by convexsolve.minimize_simplex_qp), equality-gradient rank
+test, and a boundary sweep."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexsolve import OPTIMAL, LpProblem, project_simplex, solve_lp
+from .convexsolve import OPTIMAL, LpProblem, minimize_simplex_qp, solve_lp
 from .model import (
     DEFAULT_ACTIVE_TOL,
     ActiveSet,
@@ -181,48 +182,6 @@ def check_mfcq_lp(
     )
 
 
-def _min_quad_simplex(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize lam' M lam over the unit simplex (M PSD); returns (lam, value).
-
-    Projected gradient with a final exact solve on the identified support.
-    """
-    k = M.shape[0]
-    lam = np.full(k, 1.0 / k)
-    eigs = np.linalg.eigvalsh(M)
-    L = 2.0 * max(float(eigs[-1]), 1e-30)
-    val = float(lam @ M @ lam)
-    for _ in range(5000):
-        grad = 2.0 * M @ lam
-        cand = project_simplex(lam - grad / L, 1.0)
-        cand_val = float(cand @ M @ cand)
-        moved = float(np.max(np.abs(cand - lam)))
-        lam, val = cand, cand_val
-        if moved <= 1e-14:
-            break
-    support = lam > 1e-12
-    ks = int(support.sum())
-    if ks:
-        # stationarity 2 M lam = eta 1 on the support, sum lam = 1
-        sys = np.zeros((ks + 1, ks + 1))
-        sys[:ks, :ks] = 2.0 * M[np.ix_(support, support)]
-        sys[:ks, ks] = -1.0
-        sys[ks, :ks] = 1.0
-        rhs = np.zeros(ks + 1)
-        rhs[ks] = 1.0
-        try:
-            sol = np.linalg.solve(sys, rhs)
-            cand = np.zeros(k)
-            cand[support] = sol[:ks]
-            if np.all(cand >= -1e-12):
-                cand = project_simplex(cand, 1.0)
-                cand_val = float(cand @ M @ cand)
-                if cand_val <= val + 1e-15:
-                    lam, val = cand, cand_val
-        except np.linalg.LinAlgError:
-            pass
-    return lam, max(val, 0.0)
-
-
 def check_mfcq_hull(
     prob: ProblemInstance,
     pert: PerturbationSpec,
@@ -234,7 +193,8 @@ def check_mfcq_hull(
     """Convex-hull formulation: distance from span{grad h} to the hull of the
     active gradients.  Equality directions are eliminated by orthogonal
     projection; the verdict is Fails when the minimized distance is <= tol,
-    Degenerate inside (tol, degenerate_band*tol], Holds beyond.
+    Degenerate inside (tol, degenerate_band*tol], Holds beyond, and
+    Degenerate when the distance QP does not converge.
     """
     x, act, G, H = _prepare(prob, pert, x, tau_act)
     if not equality_gradients_independent(prob, x):
@@ -255,9 +215,16 @@ def check_mfcq_hull(
         Gp = G - (G @ Qb) @ Qb.T
     else:
         Gp = G
+    # min ||Gp' lam||^2 over the unit simplex; multipliers below
+    # -1e-13 * max|2 M| are beyond the roundoff of the gradient 2 M lam
     M = Gp @ Gp.T
-    lam, val = _min_quad_simplex(M)
-    dist = math.sqrt(max(val, 0.0))
+    qp = minimize_simplex_qp(2.0 * M, np.zeros(k), 1.0, tol=2e-13 * float(np.max(np.abs(M))))
+    if qp.status != OPTIMAL:
+        return MfcqCertificate(
+            verdict=DEGENERATE, active=act, reason="hull QP did not converge", cert_tol=tol
+        )
+    lam = qp.x
+    dist = float(np.linalg.norm(Gp.T @ lam))
     w = G.T @ lam
     kappa, _ = _fit_kappa(H, w - Gp.T @ lam)
     if dist <= tol:

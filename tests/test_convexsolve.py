@@ -187,6 +187,7 @@ def test_project_simplex_sums_to_total():
         p = project_simplex(v, 2.0)
         assert p.sum() == pytest.approx(2.0, abs=1e-12)
         assert np.all(p >= 0)
+        assert np.all(project_simplex(v, 0.0) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +226,62 @@ def test_qp_rejects_bad_matrices():
         )
 
 
+# Dual QPs of esqm_step on cusp_boxed (f = -x1, the template of
+# test_esqm.cusp_boxed_template), captured from a homotopy_run over the levels
+# 1e-1, ..., 1e-5 at the first step with beta = 142 and with beta = 232.  Q
+# has rank 2, and on the optimal support {0, 1} its curvature along (1, 1) is
+# only 1.4e-4 and 4.2e-5 of that along (1, -1).
+CUSP_BOXED_DUALS = [
+    (
+        np.array(
+            [
+                [-3.9113683788695051e-04, 3.9102976359916609e-04, 4.5757494408805296e-06],
+                [3.9102976359916609e-04, -3.9113683788695051e-04, 4.5757494408805296e-06],
+                [4.5757494408805296e-06, 4.5757494408805296e-06, -3.9108330074305825e-04],
+            ]
+        ),
+        np.array([1.4813664537827547e-04, 1.4813664537827780e-04, -2.0629415738788315e00]),
+        142.0,
+    ),
+    (
+        np.array(
+            [
+                [-2.3941633351933387e-04, 2.3939621136934226e-04, 1.5519937053759908e-06],
+                [2.3939621136934226e-04, -2.3941633351933387e-04, 1.5519937053759908e-06],
+                [1.5519937053759908e-06, 1.5519937053759908e-06, -2.3940627244433804e-04],
+            ]
+        ),
+        np.array([2.0019527627772574e-06, 2.0019527627712400e-06, -2.0468248079499443e00]),
+        232.0,
+    ),
+]
+
+
 def test_qp_matches_face_enumeration():
     rng = np.random.default_rng(21)
+    cases = []
     for _ in range(200):
         m = int(rng.integers(1, 6))
         M = rng.normal(size=(m, m))
-        Q = -(M @ M.T)
+        cases.append((-(M @ M.T), rng.normal(size=m), float(rng.uniform(0.2, 3.0))))
+    for _ in range(100):
+        # rank-deficient Q = -A A' / rho, A of shape m x n with n < m (the esqm_step shape)
+        m = int(rng.integers(2, 7))
+        A = rng.normal(size=(m, int(rng.integers(1, m))))
+        rho = float(rng.uniform(0.5, 50.0))
+        cases.append((-(A @ A.T) / rho, rng.normal(size=m), float(rng.uniform(0.2, 3.0))))
+    for m in range(1, 6):
+        cases.append((np.zeros((m, m)), rng.normal(size=m), float(rng.uniform(0.2, 3.0))))
+    cases.append((-np.eye(2), np.array([1.0, -1.0]), 0.0))  # only mu = 0 is feasible
+    cases += CUSP_BOXED_DUALS
+    for Q, q, beta in cases:
         Q = 0.5 * (Q + Q.T)
-        q = rng.normal(size=m)
-        beta = float(rng.uniform(0.2, 3.0))
-        st = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta))
+        # a budget of 3 face solves per coordinate (with the slack), not 10_000
+        budget = 3 * (len(q) + 1)
+        st = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta), max_iter=budget)
         assert st.status == OPTIMAL
         oracle = qp_face_oracle(Q, q, beta)
-        assert abs(st.objective - oracle) <= 1e-7 * (1.0 + abs(oracle))
+        assert abs(st.objective - oracle) <= 1e-9 * (1.0 + abs(oracle))
 
 
 def test_qp_handles_singular_curvature():

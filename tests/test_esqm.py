@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from perturbcq.convexsolve import ITER_LIMIT, SolveStatus
 from perturbcq.esqm import (
     EsqmParams,
+    SubproblemError,
     esqm_step,
     estimate_lipschitz,
     homotopy_run,
@@ -362,6 +364,33 @@ def test_homotopy_flags_infeasible_level():
     trace = homotopy_run(prob, f, [6.8, 4.0], template)
     assert trace.levels[0].status == "converged"
     assert trace.levels[1].status == "infeasible"
+
+
+def test_homotopy_reports_subproblem_failure_per_level(monkeypatch):
+    def unsolved(qp, **kwargs):
+        return SolveStatus(status=ITER_LIMIT)
+
+    monkeypatch.setattr("perturbcq.esqm.solve_capped_simplex_qp", unsolved)
+    prob, f, template = cusp_boxed_template()
+    trace = homotopy_run(prob, f, [1e-1, 1e-2], template)
+    start = tuple(prob.box_array().mean(axis=1))
+    for lvl in trace.levels:
+        assert lvl.status == "subproblem_failed"
+        assert lvl.trace.termination == "subproblem_failed"
+        assert not lvl.trace.converged
+        assert lvl.trace.retries == 0
+        assert lvl.x == start  # no step taken, and no warm start from a failed level
+    with pytest.raises(SubproblemError):
+        esqm_step(prob, f, start, template, beta_k=1.0)
+    assert issubclass(SubproblemError, RuntimeError)  # the CLI maps it to exit 2
+
+    def broken(qp, **kwargs):
+        raise RuntimeError("not a subproblem failure")
+
+    # any other error under esqm_step is not turned into a status
+    monkeypatch.setattr("perturbcq.esqm.solve_capped_simplex_qp", broken)
+    with pytest.raises(RuntimeError, match="not a subproblem failure"):
+        homotopy_run(prob, f, [1e-1], template)
 
 
 def test_homotopy_rejects_bad_schedule():

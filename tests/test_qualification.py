@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from perturbcq.convexsolve import ITER_LIMIT, SolveStatus
 from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
 from perturbcq.poly import Polynomial
 from perturbcq.qualification import (
@@ -42,6 +43,38 @@ def hull_distance_grid(G, step=1e-3):
         raise ValueError("grid oracle supports k <= 3")
     pts = lams @ G
     return float(np.min(np.linalg.norm(pts, axis=1)))
+
+
+def hull_distance_faces(G):
+    """Exact min of ||G^T lam|| over the simplex by enumerating every support.
+
+    The minimal-support optimum lies in the relative interior of its face,
+    where it is the unique minimizer over the face's affine hull; a
+    least-squares solve of that face's KKT system therefore returns it.
+    """
+    k = G.shape[0]
+    best = math.inf
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            Gs = G[list(support)]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * Gs @ Gs.T
+            kkt[:size, size] = -1.0
+            kkt[size, :size] = 1.0
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
+            lam = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if np.all(lam >= -1e-12):
+                best = min(best, float(np.linalg.norm(Gs.T @ lam)))
+    return best
+
+
+def linear_problem(G):
+    """Constraints g_i(x) = G_i . x <= 0, all active at the origin."""
+    n = G.shape[1]
+    xs = [Polynomial.variable(n, j) for j in range(n)]
+    rows = [sum((float(a) * x for a, x in zip(row, xs)), Polynomial.zero(n)) for row in G]
+    return ProblemInstance(num_vars=n, inequalities=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +253,41 @@ def test_hull_distance_matches_simplex_grid():
             ]
         )
         assert abs(cert.hull_distance - hull_distance_grid(G)) <= 1e-3
+
+
+def test_hull_distance_matches_face_enumeration():
+    # k > n gradients in R^n are linearly dependent, and affinely dependent
+    # when k > n + 1; every third set is shifted so that 0 lies inside its
+    # hull, and every third has two parallel gradients
+    rng = np.random.default_rng(17)
+    fails = 0
+    for t in range(240):
+        n = int(rng.integers(2, 4))
+        k = int(rng.integers(n + 1, 7))
+        G = rng.normal(size=(k, n))
+        if t % 3 == 1:
+            G -= rng.dirichlet(np.ones(k)) @ G
+        elif t % 3 == 2:
+            G[1] = 2.5 * G[0]
+        cert = check_mfcq_hull(linear_problem(G), diag(0.0), np.zeros(n))
+        assert abs(cert.hull_distance - hull_distance_faces(G)) <= 1e-9
+        if cert.verdict == FAILS:
+            fails += 1
+            lam = np.array(cert.multipliers)
+            assert np.all(lam >= 0.0)
+            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(G.T @ lam) <= cert.cert_tol
+    assert fails >= 80
+
+
+def test_hull_unconverged_qp_is_degenerate(monkeypatch):
+    def unsolved(P, c, total, **kwargs):
+        return SolveStatus(status=ITER_LIMIT, x=np.full(len(c), total / len(c)))
+
+    monkeypatch.setattr("perturbcq.qualification.minimize_simplex_qp", unsolved)
+    cert = check_mfcq_hull(catalog("cusp"), diag(0.0), (0.0, 0.0))
+    assert cert.verdict == DEGENERATE
+    assert cert.reason == "hull QP did not converge"
 
 
 # ---------------------------------------------------------------------------
