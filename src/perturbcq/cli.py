@@ -303,20 +303,25 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_esqm(args) -> int:
-    prob = _load_problem(args)
-    f = _objective_from_args(args, prob)
-    if f is None:
-        raise DocumentError("an objective is required (--objective or --objective-linear)")
+def _esqm_params(args, prob, alpha: float) -> EsqmParams:
+    """Solver parameters from the CLI flags, curvatures from sampled Hessians."""
     L_obj, L_con = estimate_lipschitz(prob, seed=args.seed)
-    params = EsqmParams(
-        alpha=args.alpha,
+    return EsqmParams(
+        alpha=alpha,
         beta0=args.beta0,
         delta=args.delta,
         curvature_obj=max(L_obj, 1e-6),
         curvature_con=max(max(L_con, default=0.0), 1e-6),
         max_iter=args.max_iter,
     )
+
+
+def _cmd_esqm(args) -> int:
+    prob = _load_problem(args)
+    f = _objective_from_args(args, prob)
+    if f is None:
+        raise DocumentError("an objective is required (--objective or --objective-linear)")
+    params = _esqm_params(args, prob, args.alpha)
     x0 = np.array(args.x0) if args.x0 is not None else prob.box_array().mean(axis=1)
     trace = run_esqm(prob, f, x0, params)
     if args.out:
@@ -330,7 +335,7 @@ def _cmd_esqm(args) -> int:
         "converged": trace.converged,
         "termination": trace.termination,
         "x": list(map(float, xf)),
-        "value": float(f.evaluate(xf)),
+        "value": trace.objectives[-1],
         "iterations": len(trace.xs) - 1,
         "final_beta": trace.betas[-1],
         "final_kkt_residual": trace.kkt_residuals[-1],
@@ -351,16 +356,7 @@ def _cmd_homotopy(args) -> int:
     f = _objective_from_args(args, prob)
     if f is None:
         raise DocumentError("an objective is required (--objective or --objective-linear)")
-    L_obj, L_con = estimate_lipschitz(prob, seed=args.seed)
-    template = EsqmParams(
-        alpha=args.schedule[0],
-        beta0=args.beta0,
-        delta=args.delta,
-        curvature_obj=max(L_obj, 1e-6),
-        curvature_con=max(max(L_con, default=0.0), 1e-6),
-        max_iter=args.max_iter,
-    )
-    trace = homotopy_run(prob, f, args.schedule, template)
+    trace = homotopy_run(prob, f, args.schedule, _esqm_params(args, prob, args.schedule[0]))
     if args.out:
         trace.write_json(args.out)
     payload = trace.to_json_dict()

@@ -152,6 +152,37 @@ def estimate_lipschitz(
     return L_obj, curvature(prob.inequalities)
 
 
+def _linearize(prob, f, x, bounds):
+    """(f(x), grad f(x), g(x) - bounds, Jacobian of g at x) from one value and
+    one Jacobian evaluation of [f, *g] at the point x."""
+    polys = [f, *prob.inequalities]
+    X = x[None, :]
+    vals = values_many(polys, X)[0]
+    jac = jacobians_many(polys, X)[0]
+    return float(vals[0]), jac[0], vals[1:] - bounds, jac[1:]
+
+
+def _step(x_k, grad_f, shifted, A, params, beta_k):
+    rho = params.curvature_obj + beta_k * params.curvature_con
+    Q = -(A @ A.T) / rho
+    Q = 0.5 * (Q + Q.T)
+    q = shifted - A @ grad_f / rho
+    status = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta_k), tol=1e-10)
+    if status.status != OPTIMAL:
+        raise SubproblemError(f"subproblem dual did not solve: {status.status}")
+    mu = status.x
+    y = x_k - (grad_f + A.T @ mu) / rho
+    s = max(0.0, float(np.max(shifted + A @ (y - x_k))))
+    return y, s, mu
+
+
+def _kkt(grad_f, shifted, A, lam) -> float:
+    stationarity = float(np.max(np.abs(grad_f + lam @ A)))
+    comp = float(np.max(np.abs(lam * shifted))) if len(lam) else 0.0
+    feas = float(np.max(np.maximum(shifted, 0.0)))
+    return max(stationarity, comp, feas)
+
+
 def esqm_step(
     prob: ProblemInstance, f: Polynomial, x_k, params: EsqmParams, beta_k: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
@@ -166,22 +197,8 @@ def esqm_step(
         raise ValueError("beta_k must be positive")
     x_k = np.asarray(x_k, dtype=float)
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
-    X = x_k[None, :]
-    grad_f = jacobians_many([f], X)[0, 0]
-    shifted = values_many(prob.inequalities, X)[0] - bounds
-    A = jacobians_many(prob.inequalities, X)[0]
-    rho = params.curvature_obj + beta_k * params.curvature_con
-
-    Q = -(A @ A.T) / rho
-    Q = 0.5 * (Q + Q.T)
-    q = shifted - A @ grad_f / rho
-    status = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta_k), tol=1e-10)
-    if status.status != OPTIMAL:
-        raise SubproblemError(f"subproblem dual did not solve: {status.status}")
-    mu = status.x
-    y = x_k - (grad_f + A.T @ mu) / rho
-    s = max(0.0, float(np.max(shifted + A @ (y - x_k))))
-    return y, s, mu
+    _, grad_f, shifted, A = _linearize(prob, f, x_k, bounds)
+    return _step(x_k, grad_f, shifted, A, params, beta_k)
 
 
 def kkt_residual(prob: ProblemInstance, f: Polynomial, x, lam,
@@ -192,36 +209,32 @@ def kkt_residual(prob: ProblemInstance, f: Polynomial, x, lam,
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("multipliers must be nonnegative")
-    X = x[None, :]
-    shifted = values_many(prob.inequalities, X)[0] - pert.bounds(prob)
-    grad = jacobians_many([f], X)[0, 0] + lam @ jacobians_many(prob.inequalities, X)[0]
-    stationarity = float(np.max(np.abs(grad)))
-    comp = float(np.max(np.abs(lam * shifted))) if len(lam) else 0.0
-    feas = float(np.max(np.maximum(shifted, 0.0)))
-    return max(stationarity, comp, feas)
+    _, grad_f, shifted, A = _linearize(prob, f, x, pert.bounds(prob))
+    return _kkt(grad_f, shifted, A, lam)
 
 
 def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
-    pert = PerturbationSpec.diagonal(params.alpha)
     x = np.asarray(x0, dtype=float)
     beta = params.beta0
     trace = EsqmTrace(beta0_used=params.beta0)
 
     def record(x_, s_, beta_, mu_):
-        shifted = values_many(prob.inequalities, x_[None, :])[0] - bounds
+        """Append the iterate and return its linearization for the next step."""
+        obj, grad_f, shifted, A = _linearize(prob, f, x_, bounds)
         trace.xs.append(tuple(x_))
         trace.slacks.append(float(s_))
         trace.betas.append(float(beta_))
         trace.multipliers.append(tuple(mu_))
-        trace.kkt_residuals.append(kkt_residual(prob, f, x_, mu_, pert))
-        trace.objectives.append(float(f.evaluate(x_)))
+        trace.kkt_residuals.append(_kkt(grad_f, shifted, A, mu_))
+        trace.objectives.append(obj)
         trace.infeasibilities.append(float(np.max(np.maximum(shifted, 0.0))))
+        return grad_f, shifted, A
 
-    record(x, 0.0, beta, np.zeros(len(prob.inequalities)))
+    lin = record(x, 0.0, beta, np.zeros(len(prob.inequalities)))
     for _ in range(params.max_iter):
         try:
-            y, s, mu = esqm_step(prob, f, x, params, beta)
+            y, s, mu = _step(x, *lin, params, beta)
         except SubproblemError:
             trace.termination = "subproblem_failed"
             return trace
@@ -231,7 +244,7 @@ def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
         step = float(np.linalg.norm(y - x))
         x = y
         beta_next = beta if s <= 1e-12 else beta + params.delta
-        record(x, s, beta_next, mu)
+        lin = record(x, s, beta_next, mu)
         if step <= params.step_tol and trace.kkt_residuals[-1] <= params.kkt_tol:
             trace.termination = "converged"
             trace.converged = True
@@ -345,7 +358,7 @@ def homotopy_run(
             HomotopyLevel(
                 alpha=alpha,
                 x=tuple(xf),
-                value=float(f.evaluate(xf)),
+                value=trace.objectives[-1],
                 status=status,
                 trace=trace,
             )

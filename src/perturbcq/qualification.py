@@ -116,7 +116,8 @@ def check_mfcq_lp(
     eps* > tol certifies MFCQ with the optimal (y, eps).  Otherwise the dual
     multipliers are normalized onto the simplex and, when they reproduce a
     vanishing combination of gradients to cert_tol, the point is a certified
-    failure; a tiny eps* without a clean dual witness is reported degenerate.
+    failure; a tiny eps* without a clean dual witness, or an LP that does not
+    solve, is reported degenerate.
     """
     x, act, G, H = _prepare(prob, pert, x, tau_act)
     if not equality_gradients_independent(prob, x):
@@ -151,7 +152,10 @@ def check_mfcq_lp(
         LpProblem(c=c, A=A, b=b, E=E, d=d, lo=lo, hi=hi, maximize=True)
     )
     if status.status != OPTIMAL:
-        raise RuntimeError(f"MFCQ LP did not solve: {status.status}")
+        return MfcqCertificate(
+            verdict=DEGENERATE, active=act, reason=f"MFCQ LP did not solve: {status.status}",
+            margin_tol=tol, cert_tol=cert_tol,
+        )
     eps = float(status.objective)
     y = status.x[:n]
     if eps > tol:
@@ -368,13 +372,10 @@ def sweep_mfcq(
         for xb in x0 + t_lo[:, None] * dirs:
             if produced >= config.samples:
                 break
-            try:
-                cert = check_mfcq_lp(
-                    prob, pert, xb, tau_act=config.tau_act, tol=config.tol,
-                    cert_tol=config.cert_tol,
-                )
-            except ValueError:
-                continue
+            cert = check_mfcq_lp(
+                prob, pert, xb, tau_act=config.tau_act, tol=config.tol,
+                cert_tol=config.cert_tol,
+            )
             rows.append(SweepRow(sample_id=produced, x=tuple(xb), certificate=cert))
             worst = min(worst, cert.measure)
             produced += 1

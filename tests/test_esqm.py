@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from perturbcq import esqm
 from perturbcq.convexsolve import ITER_LIMIT, SolveStatus
 from perturbcq.esqm import (
     EsqmParams,
@@ -11,7 +12,7 @@ from perturbcq.esqm import (
     kkt_residual,
     run_esqm,
 )
-from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
+from perturbcq.model import PerturbationSpec, ProblemInstance, catalog, feasibility_residual
 from perturbcq.poly import Polynomial
 
 
@@ -391,6 +392,44 @@ def test_homotopy_reports_subproblem_failure_per_level(monkeypatch):
     monkeypatch.setattr("perturbcq.esqm.solve_capped_simplex_qp", broken)
     with pytest.raises(RuntimeError, match="not a subproblem failure"):
         homotopy_run(prob, f, [1e-1], template)
+
+
+def test_trace_replays_through_public_step_and_residual():
+    prob, f, params = cusp_boxed_template()
+    x0 = np.random.default_rng(0).uniform(-2.0, 1.0, size=2)
+    trace = run_esqm(prob, f, x0, params)
+    assert trace.converged and trace.retries == 0
+    pert = PerturbationSpec.diagonal(params.alpha)
+    for k, x in enumerate(trace.xs):
+        assert kkt_residual(prob, f, x, trace.multipliers[k], pert) == trace.kkt_residuals[k]
+        assert trace.objectives[k] == f.evaluate(np.array(x))
+        assert trace.infeasibilities[k] == feasibility_residual(prob, pert, x)[0]
+        if k + 1 < len(trace.xs):
+            y, s, mu = esqm_step(prob, f, x, params, trace.betas[k])
+            assert tuple(y) == trace.xs[k + 1]
+            assert s == trace.slacks[k + 1]
+            assert tuple(mu) == trace.multipliers[k + 1]
+
+
+def test_run_linearizes_each_iterate_once(monkeypatch):
+    calls = {"values_many": 0, "jacobians_many": 0, "evaluate": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    prob, f, template = cusp_boxed_template()
+    for name in ("values_many", "jacobians_many"):
+        monkeypatch.setattr(f"perturbcq.esqm.{name}", counted(name, getattr(esqm, name)))
+    monkeypatch.setattr(Polynomial, "evaluate", counted("evaluate", Polynomial.evaluate))
+    trace = homotopy_run(prob, f, [1e-1, 1e-2, 1e-3], template)
+    assert all(lvl.status == "converged" and lvl.trace.retries == 0 for lvl in trace.levels)
+    iterates = sum(len(lvl.trace.xs) for lvl in trace.levels)
+    assert calls["values_many"] <= iterates
+    assert calls["jacobians_many"] <= iterates
+    assert calls["evaluate"] == 0
 
 
 def test_homotopy_rejects_bad_schedule():

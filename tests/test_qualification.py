@@ -290,6 +290,19 @@ def test_hull_unconverged_qp_is_degenerate(monkeypatch):
     assert cert.reason == "hull QP did not converge"
 
 
+def test_lp_unsolved_is_degenerate(monkeypatch):
+    monkeypatch.setattr(
+        "perturbcq.qualification.solve_lp", lambda lp: SolveStatus(status=ITER_LIMIT)
+    )
+    cert = check_mfcq_lp(catalog("cusp"), diag(0.0), (0.0, 0.0))
+    assert cert.verdict == DEGENERATE
+    assert cert.reason == "MFCQ LP did not solve: iter_limit"
+    # a sweep keeps every sampled point when its LP fails
+    res = sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=20, seed=0))
+    assert len(res.rows) == 20
+    assert res.verdicts[DEGENERATE] == 20
+
+
 # ---------------------------------------------------------------------------
 # boundary sweep
 # ---------------------------------------------------------------------------
@@ -300,6 +313,15 @@ def test_sweep_perturbed_cusp_all_hold():
     assert res.status == "ok"
     assert res.all_hold
     assert res.worst_margin > 0
+
+
+def test_sweep_propagates_certificate_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("point is not feasible")
+
+    monkeypatch.setattr("perturbcq.qualification.check_mfcq_lp", broken)
+    with pytest.raises(ValueError, match="point is not feasible"):
+        sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=20, seed=0))
 
 
 def test_sweep_cusp_probe_point_fails():
