@@ -243,6 +243,8 @@ def _cmd_mfcq(args) -> int:
         else PerturbationSpec.diagonal(args.alpha)
     )
     if args.point is not None:
+        if args.format == "csv":
+            raise ValueError("--format csv writes sweep rows; it does not apply to --point")
         check = check_mfcq_hull if args.method == "hull" else check_mfcq_lp
         cert = check(prob, pert, np.array(args.point))
         payload = {
@@ -443,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p)
     p.set_defaults(func=_cmd_catalog)
 
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    for name, p in sub.choices.items():
+        formats = ["json", "csv", "text"] if name in ("mfcq", "scan", "esqm") else ["json", "text"]
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write the full report to this path")
     return parser
 

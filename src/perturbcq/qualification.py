@@ -328,6 +328,8 @@ def sweep_mfcq(
     if prob.equalities:
         raise ValueError("sweep_mfcq supports inequality-only problems")
     config = config or SweepConfig()
+    if config.samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(config.seed)
     b = pert.bounds(prob)
     box = prob.box_array()

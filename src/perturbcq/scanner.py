@@ -96,14 +96,17 @@ class SingularWitness:
 
 
 class SingularSystem:
-    """Residual map of the witness equations for one activity pattern.
+    """Witness equations for one activity pattern and their linearization.
 
     Unknowns z = (x, lam_K, kappa, alpha), in that order.  Rows:
       [0, n)            sum_{i in K} lam_i grad g_i(x) - sum_j kappa_j grad h_j(x)
       [n]               sum lam_i - 1
       [n+1, n+1+|L|)    g_j(x) - alpha for perturbable j in L, g_j(x) otherwise
       trailing r rows   h_j(x)
-    Evaluation is vectorized over a batch of unknown vectors.
+    Since K is a subset of L, the values and gradients of [g_L, h] give every
+    residual row and every first-derivative entry; the stationarity rows read
+    the gradients of g_K and h out of them by index.  Evaluation is
+    vectorized over a batch of unknown vectors.
     """
 
     def __init__(self, prob: ProblemInstance, K, L):
@@ -129,58 +132,42 @@ class SingularSystem:
         self.num_unknowns = n + len(K) + r + 1
         self.num_rows = n + 1 + len(L) + r
         self._L_perturbed = np.array([j in pert for j in L], dtype=bool)
-        # stationarity rows combine the gradients of g_K and h with weights
-        # (lam, -kappa)
+        # rows n+1 onward are the values of [g_L, h]; the stationarity rows
+        # combine the gradients of [g_K, h] with weights (lam, -kappa)
+        self._active = [prob.inequalities[j] for j in L] + list(prob.equalities)
         self._stationary = [prob.inequalities[i] for i in K] + list(prob.equalities)
-        self._gL = [prob.inequalities[j] for j in L]
-        self._h = list(prob.equalities)
+        self._stationary_rows = [L.index(i) for i in K] + list(range(len(L), len(L) + r))
         outside = [j for j in range(m) if j not in L]
         self._g_outside = [prob.inequalities[j] for j in outside]
         self._outside_perturbed = np.array([j in pert for j in outside], dtype=bool)
 
-    # --- batched evaluation helpers ---------------------------------------
-
-    def _split(self, Z: np.ndarray):
-        n, k, r = self.n, len(self.K), self.r
-        return Z[:, :n], Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
-
-    def residual_batch(self, Z: np.ndarray) -> np.ndarray:
-        X, Lam, Kap, Alpha = self._split(Z)
-        n, L = self.n, len(self.L)
+    def linearize_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (S, num_rows) and Jacobians (S, num_rows, num_unknowns)
+        at a batch of unknown vectors Z (S, num_unknowns)."""
+        n, k, r, L = self.n, len(self.K), self.r, len(self.L)
+        X, Lam, Kap, Alpha = Z[:, :n], Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
+        weights = np.hstack([Lam, -Kap])
+        grads = jacobians_many(self._active, X)
+        stationary = grads[:, self._stationary_rows]
         F = np.empty((Z.shape[0], self.num_rows))
-        grads = jacobians_many(self._stationary, X)
-        F[:, :n] = np.einsum("sk,skn->sn", np.hstack([Lam, -Kap]), grads)
+        F[:, :n] = np.einsum("sk,skn->sn", weights, stationary)
         F[:, n] = Lam.sum(axis=1) - 1.0
-        F[:, n + 1 : n + 1 + L] = values_many(self._gL, X) - np.where(
-            self._L_perturbed, Alpha[:, None], 0.0
-        )
-        F[:, n + 1 + L :] = values_many(self._h, X)
-        return F
-
-    def jacobian_batch(self, Z: np.ndarray) -> np.ndarray:
-        X, Lam, Kap, _ = self._split(Z)
-        n, k, L = self.n, len(self.K), len(self.L)
+        F[:, n + 1 :] = values_many(self._active, X)
+        F[:, n + 1 : n + 1 + L] -= np.where(self._L_perturbed, Alpha[:, None], 0.0)
         J = np.zeros((Z.shape[0], self.num_rows, self.num_unknowns))
-        grads = jacobians_many(self._stationary, X)
-        hess = hessians_many(self._stationary, X)
-        # stationarity rows
-        J[:, :n, :n] = np.einsum("sk,skab->sab", np.hstack([Lam, -Kap]), hess)
-        J[:, :n, n : n + k] = np.swapaxes(grads[:, :k], 1, 2)
-        J[:, :n, n + k : -1] = -np.swapaxes(grads[:, k:], 1, 2)
-        # normalization row
+        J[:, :n, :n] = np.einsum("sk,skab->sab", weights, hessians_many(self._stationary, X))
+        J[:, :n, n : n + k] = np.swapaxes(stationary[:, :k], 1, 2)
+        J[:, :n, n + k : -1] = -np.swapaxes(stationary[:, k:], 1, 2)
         J[:, n, n : n + k] = 1.0
-        # activity rows
-        J[:, n + 1 : n + 1 + L, :n] = jacobians_many(self._gL, X)
+        J[:, n + 1 :, :n] = grads
         J[:, n + 1 : n + 1 + L, -1] = np.where(self._L_perturbed, -1.0, 0.0)
-        # equality rows
-        J[:, n + 1 + L :, :n] = grads[:, k:]
-        return J
+        return F, J
 
     def residual(self, x, lam, kappa, alpha) -> np.ndarray:
         z = np.concatenate(
             [np.atleast_1d(np.asarray(v, dtype=float)).ravel() for v in (x, lam, kappa, [alpha])]
         )
-        return self.residual_batch(z[None, :])[0]
+        return self.linearize_batch(z[None, :])[0][0]
 
     # --- side conditions ----------------------------------------------------
 
@@ -201,26 +188,29 @@ def build_singular_system(prob: ProblemInstance, K, L) -> SingularSystem:
 def _levenberg_marquardt(system: SingularSystem, Z0: np.ndarray,
                          max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Damped least-squares iteration on a batch of starts; returns the final
-    batch and its residual 2-norms."""
+    batch and its residual 2-norms.
+
+    Each trial point is linearized once; every start keeps the residual and
+    Jacobian of its accepted point for its next step."""
     Z = np.array(Z0, dtype=float)
     S, p = Z.shape
     nu = np.full(S, 1e-3)
-    F = system.residual_batch(Z)
+    F, J = system.linearize_batch(Z)
     fsq = np.einsum("sr,sr->s", F, F)
     eye = np.eye(p)
     for _ in range(max_iter):
         if np.all((fsq <= RESIDUAL_TOL**2) | (nu >= 1e8)):
             break
-        J = system.jacobian_batch(Z)
         A = np.einsum("srp,srq->spq", J, J) + nu[:, None, None] * eye
         rhs = -np.einsum("srp,sr->sp", J, F)
         delta = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
         Znew = Z + delta
-        Fnew = system.residual_batch(Znew)
+        Fnew, Jnew = system.linearize_batch(Znew)
         fnew = np.einsum("sr,sr->s", Fnew, Fnew)
         better = fnew < fsq
         Z[better] = Znew[better]
         F[better] = Fnew[better]
+        J[better] = Jnew[better]
         fsq[better] = fnew[better]
         nu = np.clip(np.where(better, nu / 3.0, nu * 2.0), 1e-14, 1e9)
     return Z, np.sqrt(np.maximum(fsq, 0.0))
@@ -386,8 +376,10 @@ def scan_singular(prob: ProblemInstance, window, starts: int, seed: int) -> Scan
             f"{PATTERN_GUARD} to keep 3^m subsets tractable"
         )
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must be a nondegenerate interval")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError("window must be a finite nondegenerate interval")
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
     span = float(np.max(np.diff(prob.box_array(), axis=1)))
     box_slack = 1e-6 * span
 

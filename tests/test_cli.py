@@ -215,3 +215,51 @@ def test_scan_determinism_across_invocations(capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("window", ["--window=-inf,1", "--window=0,inf", "--window=nan,1"])
+def test_scan_nonfinite_window_exits_2(window, capsys):
+    assert main(["scan", "--problem", "cusp", window]) == 2
+    err = capsys.readouterr().err
+    assert "error: window must be a finite" in err
+    assert "Traceback" not in err
+
+
+def test_scan_without_starts_exits_2(capsys):
+    assert main(["scan", "--problem", "cusp", "--window=-0.5,0.5", "--starts=-3"]) == 2
+    assert "error: starts must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_mfcq_sweep_without_samples_exits_2(samples, capsys):
+    code = main(["mfcq", "--problem", "cusp", "--alpha", "0.1", f"--samples={samples}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: samples must be at least 1" in captured.err
+    assert "sweep status" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--n", "2", "--m", "2", "--d", "3"],
+        ["homotopy", "--problem", "cusp_boxed", "--objective-linear=-1,0",
+         "--schedule", "0.1,0.01"],
+        ["catalog", "--problem", "cusp"],
+    ],
+    ids=["bound", "homotopy", "catalog"],
+)
+def test_csv_format_rejected_where_not_written(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mfcq_point_csv_exits_2(tmp_path, capsys):
+    out = tmp_path / "cert.csv"
+    code = main(["mfcq", "--problem", "cusp", "--point", "0,0", "--format", "csv",
+                 "--out", str(out)])
+    assert code == 2
+    assert "error: --format csv" in capsys.readouterr().err
+    assert not out.exists()

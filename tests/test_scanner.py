@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from perturbcq.model import PerturbationSpec, catalog
+from perturbcq import scanner
+from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
+from perturbcq.poly import Polynomial, jacobians_many, values_many
 from perturbcq.qualification import FAILS, DEGENERATE, check_mfcq_hull, sweep_mfcq, SweepConfig
 from perturbcq.scanner import (
     ScanReport,
@@ -121,6 +123,96 @@ def test_multistart_separated_discs_empty():
     sys = build_singular_system(prob, K=(0, 1), L=(0, 1))
     sols = solve_system_multistart(sys, (-0.25, 0.25), starts=300, seed=3)
     assert sols == []
+
+
+def equality_problem():
+    # ball, half-space and slab in R^3 on the surface x3 = x1*x2
+    x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
+    return ProblemInstance(
+        num_vars=3,
+        inequalities=(x1 * x1 + x2 * x2 + x3 * x3 - 1.0, -x1, x2 - 0.5),
+        equalities=(x3 - x1 * x2,),
+        perturbable=(0, 1),
+        sample_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
+    )
+
+
+@pytest.mark.parametrize(
+    "prob, K, L",
+    [
+        (catalog("cusp"), (0, 1), (0, 1)),
+        (catalog("ball_box", n=2, a=(0.4, 0.2)), (0, 1), (0, 1, 2)),
+        (catalog("ball_box", n=2, a=(0.4, 0.2)), (0,), (0,)),
+        (catalog("grid_boxes", n=2, d=2, a=(0.3, -0.2)), (0, 2), (0, 1, 2)),
+        (equality_problem(), (0, 2), (0, 1, 2)),
+    ],
+    ids=["cusp", "ball_box_L_wider", "ball_box_single", "grid_boxes", "equality"],
+)
+def test_linearization_matches_finite_differences(prob, K, L):
+    sys = build_singular_system(prob, K, L)
+    rng = np.random.default_rng(17)
+    box = prob.box_array()
+    S, n, k, r = 6, sys.n, len(sys.K), sys.r
+    Z = np.hstack([
+        rng.uniform(box[:, 0], box[:, 1], size=(S, n)),
+        rng.uniform(0.1, 1.0, size=(S, k)),
+        rng.normal(size=(S, r)),
+        rng.uniform(-1.0, 1.0, size=(S, 1)),
+    ])
+    F, J = sys.linearize_batch(Z)
+    assert F.shape == (S, sys.num_rows)
+    assert J.shape == (S, sys.num_rows, sys.num_unknowns)
+    # the residual rows, rebuilt constraint by constraint
+    X, Lam, Kap, alpha = Z[:, :n], Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
+    g, h = prob.inequalities, prob.equalities
+    stationary = np.einsum("sk,skn->sn", Lam, jacobians_many([g[i] for i in K], X))
+    stationary -= np.einsum("sk,skn->sn", Kap, jacobians_many(h, X))
+    shift = np.array([j in prob.perturbable for j in L]) * alpha[:, None]
+    expected = np.hstack([
+        stationary,
+        Lam.sum(axis=1, keepdims=True) - 1.0,
+        values_many([g[j] for j in L], X) - shift,
+        values_many(h, X),
+    ])
+    assert np.allclose(F, expected, rtol=1e-12, atol=1e-12)
+    step = 1e-5
+    fd = np.empty_like(J)
+    for col in range(sys.num_unknowns):
+        E = np.zeros_like(Z)
+        E[:, col] = step
+        fd[:, :, col] = (sys.linearize_batch(Z + E)[0] - sys.linearize_batch(Z - E)[0]) / (2 * step)
+    scale = max(1.0, float(np.max(np.abs(J))))
+    assert np.max(np.abs(J - fd)) <= 1e-6 * scale
+    for s in range(S):
+        z = Z[s]
+        res = sys.residual(z[:n], z[n : n + k], z[n + k : n + k + r], z[-1])
+        assert np.allclose(res, F[s], rtol=1e-14, atol=1e-14)
+
+
+def test_lm_linearizes_each_iterate_once(monkeypatch):
+    calls = {"values_many": 0, "jacobians_many": 0, "hessians_many": 0, "side_margins": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("values_many", "jacobians_many", "hessians_many"):
+        monkeypatch.setattr(f"perturbcq.scanner.{name}", counted(name, getattr(scanner, name)))
+    monkeypatch.setattr(
+        scanner.SingularSystem, "side_margins",
+        counted("side_margins", scanner.SingularSystem.side_margins),
+    )
+    prob = catalog("ball_box", n=2, a=(0.4, 0.2))
+    sys = build_singular_system(prob, K=(0, 1, 2), L=(0, 1, 2))
+    sols = solve_system_multistart(sys, (0.0, 8.0), starts=50, seed=3)
+    assert sols
+    # one linearization at the starts plus at most one per LM iteration
+    assert 2 <= calls["hessians_many"] <= 101
+    assert calls["jacobians_many"] == calls["hessians_many"]
+    # the side-condition check of a converged start evaluates g outside L
+    assert calls["values_many"] == calls["hessians_many"] + calls["side_margins"]
 
 
 # ---------------------------------------------------------------------------
