@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexsolve import OPTIMAL, LpProblem, minimize_simplex_qp, solve_lp
+from .convexsolve import OPTIMAL, LpProblem, SolveStatus, minimize_simplex_qp, solve_lp
 from .model import (
     DEFAULT_ACTIVE_TOL,
     ActiveSet,
@@ -113,6 +113,8 @@ def check_mfcq_lp(
     """Separating-direction formulation: maximize eps subject to
     <grad g_i, y> <= -eps on the active set, <grad h_j, y> = 0, ||y||_inf <= 1.
 
+    With one active gradient g and no equalities the optimum is closed-form
+    (eps* = ||g||_1, y = -sign(g), dual 1) and no LP is solved.
     eps* > tol certifies MFCQ with the optimal (y, eps).  Otherwise the dual
     multipliers are normalized onto the simplex and, when they reproduce a
     vanishing combination of gradients to cert_tol, the point is a certified
@@ -139,18 +141,18 @@ def check_mfcq_lp(
             margin_tol=tol,
             cert_tol=cert_tol,
         )
-    # variables z = (y, eps)
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    A = np.hstack([G, np.ones((k, 1))])
-    b = np.zeros(k)
-    E = np.hstack([H, np.zeros((H.shape[0], 1))]) if H.shape[0] else None
-    d = np.zeros(H.shape[0]) if H.shape[0] else None
-    lo = np.concatenate([-np.ones(n), [-np.inf]])
-    hi = np.concatenate([np.ones(n), [np.inf]])
-    status = solve_lp(
-        LpProblem(c=c, A=A, b=b, E=E, d=d, lo=lo, hi=hi, maximize=True)
-    )
+    if k == 1 and not H.shape[0]:
+        # eps* = ||g||_1 at y = -sign(g) (-1 where g_i = 0, as HiGHS), dual 1
+        eps = float(np.sum(np.abs(G[0])))
+        y = np.where(G[0] < 0, 1.0, -1.0)
+        status = SolveStatus(OPTIMAL, eps, np.append(y, eps), ineq_duals=np.ones(1))
+    else:  # variables z = (y, eps)
+        E = np.hstack([H, np.zeros((len(H), 1))]) if len(H) else None
+        status = solve_lp(LpProblem(
+            c=np.append(np.zeros(n), 1.0), A=np.hstack([G, np.ones((k, 1))]), b=np.zeros(k),
+            E=E, d=np.zeros(len(H)) if len(H) else None, lo=np.append(-np.ones(n), -np.inf),
+            hi=np.append(np.ones(n), np.inf), maximize=True,
+        ))
     if status.status != OPTIMAL:
         return MfcqCertificate(
             verdict=DEGENERATE, active=act, reason=f"MFCQ LP did not solve: {status.status}",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from perturbcq.convexsolve import ITER_LIMIT, SolveStatus
+from perturbcq.convexsolve import ITER_LIMIT, OPTIMAL, LpProblem, SolveStatus, solve_lp
 from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
 from perturbcq.poly import Polynomial
 from perturbcq.qualification import (
@@ -139,6 +139,46 @@ def test_lp_holds_at_perturbed_cusp_vertex():
     y = np.array(cert.direction)
     assert np.all(G @ y <= -cert.margin + 1e-9)
     assert np.max(np.abs(y)) <= 1.0 + 1e-12
+
+
+def test_lp_single_active_gradient_matches_highs():
+    # one active gradient has a closed-form LP optimum; HiGHS is the reference
+    rng = np.random.default_rng(5)
+    n = 3
+    for trial in range(60):
+        a = rng.normal(size=n)
+        zero = rng.random(n) < 0.3
+        zero[trial % n] = False
+        a[zero] = 0.0
+        if trial % 10 == 0:
+            a *= 1e-11  # margin below tol: a certified failure
+        g = Polynomial(n, [(float(a[i]), tuple(int(i == j) for j in range(n))) for i in range(n)])
+        prob = ProblemInstance(num_vars=n, inequalities=(g, Polynomial.variable(n, 0) - 5.0))
+        cert = check_mfcq_lp(prob, diag(0.0), np.zeros(n))
+        ref = solve_lp(
+            LpProblem(
+                c=np.append(np.zeros(n), 1.0),
+                A=np.append(a, 1.0)[None, :],
+                b=np.zeros(1),
+                lo=np.append(-np.ones(n), -np.inf),
+                hi=np.append(np.ones(n), np.inf),
+                maximize=True,
+            )
+        )
+        assert ref.status == OPTIMAL
+        assert cert.active.indices == (0,)
+        if trial % 10:
+            assert cert.verdict == HOLDS
+            assert cert.margin == pytest.approx(ref.objective, rel=1e-12)
+            assert cert.direction == tuple(ref.x[:n])
+        else:
+            # HiGHS drops coefficients this small; both margins are below tol
+            # and the dual multiplier of the one row decides the verdict
+            assert max(cert.margin, ref.objective) <= cert.margin_tol
+            assert ref.ineq_duals[0] > 0 and cert.multipliers == (1.0,)
+            assert cert.hull_distance == pytest.approx(np.linalg.norm(a), rel=1e-12)
+            assert cert.verdict == FAILS
+        assert np.all(a @ np.array(cert.direction) <= -cert.margin * (1 - 1e-12))
 
 
 def test_lp_empty_active_set_holds_with_infinite_margin():
@@ -297,10 +337,16 @@ def test_lp_unsolved_is_degenerate(monkeypatch):
     cert = check_mfcq_lp(catalog("cusp"), diag(0.0), (0.0, 0.0))
     assert cert.verdict == DEGENERATE
     assert cert.reason == "MFCQ LP did not solve: iter_limit"
-    # a sweep keeps every sampled point when its LP fails
-    res = sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=20, seed=0))
-    assert len(res.rows) == 20
-    assert res.verdicts[DEGENERATE] == 20
+    # a sweep keeps every point: a single active gradient is certified
+    # without the LP, and a point whose LP fails is kept as degenerate
+    res = sweep_mfcq(
+        catalog("cusp"), diag(0.0), SweepConfig(samples=20, seed=0, extra_points=((0.0, 0.0),))
+    )
+    assert len(res.rows) == 21
+    for row in res.rows:
+        single = len(row.certificate.active.indices) == 1
+        assert row.certificate.verdict == (HOLDS if single else DEGENERATE)
+    assert res.rows[-1].certificate.active.indices == (0, 1)
 
 
 # ---------------------------------------------------------------------------
