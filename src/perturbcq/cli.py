@@ -258,6 +258,8 @@ def _cmd_mfcq(args) -> int:
         _emit(payload, args, [f"verdict: {cert.verdict}"])
         return 1 if cert.verdict != HOLDS else 0
 
+    if args.method == "hull":
+        raise ValueError("--method hull applies to --point; a sweep certifies with the LP")
     config = SweepConfig(samples=args.samples, seed=args.seed)
     result = sweep_mfcq(prob, pert, config)
     counts = result.verdicts
@@ -272,7 +274,7 @@ def _cmd_mfcq(args) -> int:
         f"sweep status: {result.status} (seed {args.seed})",
         f"holds={counts[HOLDS]} fails={counts[FAILS]} degenerate={counts['degenerate']}",
     ]
-    if args.out and args.format == "csv":
+    if args.format == "csv":
         write_sweep_csv(result, args.out)
         print(f"wrote {args.out}")
         for line in lines:
@@ -459,6 +461,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.format == "csv" and not args.out:
+            raise ValueError("--format csv is written only to a file; add --out PATH")
         return args.func(args)
     except (DocumentError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

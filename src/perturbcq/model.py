@@ -312,6 +312,9 @@ def catalog(name: str, **params) -> ProblemInstance:
         return _tangent_discs()
     if name == "interval_pair":
         return _interval_pair()
+    for key in {"ball_box": ("n", "a"), "grid_boxes": ("n", "d", "a")}.get(name, ()):
+        if params.get(key) is None:
+            raise ValueError(f"catalog family {name!r} requires parameter {key!r}")
     if name == "ball_box":
         return _ball_box(int(params["n"]), params["a"])
     if name == "grid_boxes":

@@ -36,8 +36,12 @@ HOLDS = "holds"
 FAILS = "fails"
 DEGENERATE = "degenerate"
 
-DEFAULT_MARGIN_TOL = 1e-9
-DEFAULT_CERT_TOL = 1e-8
+DEFAULT_MARGIN_TOL = 1e-9  # LP margin above which MFCQ holds
+DEFAULT_CERT_TOL = 1e-8  # residual of a failure witness; hull distance that fails
+DEGENERATE_BAND = 10.0  # hull distances in (cert tol, band * cert tol] are degenerate
+RANK_TOL = 1e-9  # smallest singular value of H, relative to max(1, largest)
+BISECT_ITERS = 60  # bisection steps per sweep ray
+INTERIOR_ATTEMPTS = 20000  # box samples tried for a strictly feasible ray origin
 
 
 @dataclass(frozen=True)
@@ -71,27 +75,32 @@ class MfcqCertificate:
         return -(self.hull_distance or 0.0)
 
 
-def equality_gradients_independent(
-    prob: ProblemInstance, x, tol_rank: float = 1e-9
-) -> bool:
-    """Numerical full-rank test of the equality gradient matrix at x."""
-    x = np.asarray(x, dtype=float)
-    r = len(prob.equalities)
+def _full_rank(H: np.ndarray) -> bool:
+    """Numerical full-row-rank test of an equality Jacobian H (r x n)."""
+    r, n = H.shape
     if r == 0:
         return True
-    if r > prob.num_vars:
+    if r > n:
         return False
-    H = jacobians_many(prob.equalities, x[None, :])[0]
     sv = np.linalg.svd(H, compute_uv=False)
-    return bool(sv[-1] > tol_rank * max(1.0, sv[0]))
+    return bool(sv[-1] > RANK_TOL * max(1.0, sv[0]))
 
 
-def _prepare(prob, pert, x, tau_act):
+def equality_gradients_independent(prob: ProblemInstance, x) -> bool:
+    """Numerical full-rank test of the equality gradient matrix at x."""
     x = np.asarray(x, dtype=float)
-    act = active_set(prob, pert, x, tau_act)  # raises on infeasible x
-    G = jacobians_many([prob.inequalities[i] for i in act.indices], x[None, :])[0]
-    H = jacobians_many(prob.equalities, x[None, :])[0]
-    return x, act, G, H
+    return _full_rank(jacobians_many(prob.equalities, x[None, :])[0])
+
+
+def _prepare(prob, pert, x):
+    """x, its active set, the active gradients G, the equality Jacobian H,
+    and whether H has full row rank, from one gradient evaluation."""
+    x = np.asarray(x, dtype=float)
+    act = active_set(prob, pert, x)  # raises on infeasible x
+    active = [prob.inequalities[i] for i in act.indices]
+    J = jacobians_many([*active, *prob.equalities], x[None, :])[0]
+    k = len(active)
+    return x, act, J[:k], J[k:], _full_rank(J[k:])
 
 
 def _fit_kappa(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -102,44 +111,28 @@ def _fit_kappa(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     return kappa, float(np.linalg.norm(w - H.T @ kappa))
 
 
-def check_mfcq_lp(
-    prob: ProblemInstance,
-    pert: PerturbationSpec,
-    x,
-    tau_act: float = DEFAULT_ACTIVE_TOL,
-    tol: float = DEFAULT_MARGIN_TOL,
-    cert_tol: float = DEFAULT_CERT_TOL,
-) -> MfcqCertificate:
+def check_mfcq_lp(prob: ProblemInstance, pert: PerturbationSpec, x) -> MfcqCertificate:
     """Separating-direction formulation: maximize eps subject to
     <grad g_i, y> <= -eps on the active set, <grad h_j, y> = 0, ||y||_inf <= 1.
 
     With one active gradient g and no equalities the optimum is closed-form
     (eps* = ||g||_1, y = -sign(g), dual 1) and no LP is solved.
-    eps* > tol certifies MFCQ with the optimal (y, eps).  Otherwise the dual
-    multipliers are normalized onto the simplex and, when they reproduce a
-    vanishing combination of gradients to cert_tol, the point is a certified
-    failure; a tiny eps* without a clean dual witness, or an LP that does not
-    solve, is reported degenerate.
+    eps* > DEFAULT_MARGIN_TOL certifies MFCQ with the optimal (y, eps).
+    Otherwise the dual multipliers are normalized onto the simplex and, when
+    they reproduce a vanishing combination of gradients to DEFAULT_CERT_TOL,
+    the point is a certified failure; a tiny eps* without a clean dual
+    witness, or an LP that does not solve, is reported degenerate.
     """
-    x, act, G, H = _prepare(prob, pert, x, tau_act)
-    if not equality_gradients_independent(prob, x):
+    x, act, G, H, independent = _prepare(prob, pert, x)
+    if not independent:
         return MfcqCertificate(
-            verdict=FAILS,
-            active=act,
-            reason="equality gradients linearly dependent",
-            margin_tol=tol,
-            cert_tol=cert_tol,
+            verdict=FAILS, active=act, reason="equality gradients linearly dependent"
         )
     k = len(act.indices)
     n = prob.num_vars
     if k == 0:
         return MfcqCertificate(
-            verdict=HOLDS,
-            active=act,
-            direction=tuple(0.0 for _ in range(n)),
-            margin=math.inf,
-            margin_tol=tol,
-            cert_tol=cert_tol,
+            verdict=HOLDS, active=act, direction=tuple(0.0 for _ in range(n)), margin=math.inf
         )
     if k == 1 and not H.shape[0]:
         # eps* = ||g||_1 at y = -sign(g) (-1 where g_i = 0, as HiGHS), dual 1
@@ -155,26 +148,18 @@ def check_mfcq_lp(
         ))
     if status.status != OPTIMAL:
         return MfcqCertificate(
-            verdict=DEGENERATE, active=act, reason=f"MFCQ LP did not solve: {status.status}",
-            margin_tol=tol, cert_tol=cert_tol,
+            verdict=DEGENERATE, active=act, reason=f"MFCQ LP did not solve: {status.status}"
         )
     eps = float(status.objective)
     y = status.x[:n]
-    if eps > tol:
-        return MfcqCertificate(
-            verdict=HOLDS,
-            active=act,
-            direction=tuple(y),
-            margin=eps,
-            margin_tol=tol,
-            cert_tol=cert_tol,
-        )
+    if eps > DEFAULT_MARGIN_TOL:
+        return MfcqCertificate(verdict=HOLDS, active=act, direction=tuple(y), margin=eps)
     lam = np.maximum(np.asarray(status.ineq_duals, dtype=float), 0.0)
     total = lam.sum()
     lam = lam / total if total > 0 else np.full(k, 1.0 / k)
     w = G.T @ lam
     kappa, resid = _fit_kappa(H, w)
-    verdict = FAILS if resid <= cert_tol else DEGENERATE
+    verdict = FAILS if resid <= DEFAULT_CERT_TOL else DEGENERATE
     return MfcqCertificate(
         verdict=verdict,
         active=act,
@@ -183,38 +168,24 @@ def check_mfcq_lp(
         multipliers=tuple(lam),
         kappa=tuple(kappa),
         hull_distance=resid,
-        margin_tol=tol,
-        cert_tol=cert_tol,
     )
 
 
-def check_mfcq_hull(
-    prob: ProblemInstance,
-    pert: PerturbationSpec,
-    x,
-    tau_act: float = DEFAULT_ACTIVE_TOL,
-    tol: float = DEFAULT_CERT_TOL,
-    degenerate_band: float = 10.0,
-) -> MfcqCertificate:
+def check_mfcq_hull(prob: ProblemInstance, pert: PerturbationSpec, x) -> MfcqCertificate:
     """Convex-hull formulation: distance from span{grad h} to the hull of the
     active gradients.  Equality directions are eliminated by orthogonal
-    projection; the verdict is Fails when the minimized distance is <= tol,
-    Degenerate inside (tol, degenerate_band*tol], Holds beyond, and
-    Degenerate when the distance QP does not converge.
+    projection; with tol = DEFAULT_CERT_TOL the verdict is Fails when the
+    minimized distance is <= tol, Degenerate inside (tol, DEGENERATE_BAND*tol],
+    Holds beyond, and Degenerate when the distance QP does not converge.
     """
-    x, act, G, H = _prepare(prob, pert, x, tau_act)
-    if not equality_gradients_independent(prob, x):
+    x, act, G, H, independent = _prepare(prob, pert, x)
+    if not independent:
         return MfcqCertificate(
-            verdict=FAILS,
-            active=act,
-            reason="equality gradients linearly dependent",
-            cert_tol=tol,
+            verdict=FAILS, active=act, reason="equality gradients linearly dependent"
         )
     k = len(act.indices)
     if k == 0:
-        return MfcqCertificate(
-            verdict=HOLDS, active=act, hull_distance=math.inf, cert_tol=tol
-        )
+        return MfcqCertificate(verdict=HOLDS, active=act, hull_distance=math.inf)
     if H.shape[0]:
         # orthonormal basis of span{grad h}; project gradients onto complement
         Qb, _ = np.linalg.qr(H.T)
@@ -227,15 +198,15 @@ def check_mfcq_hull(
     qp = minimize_simplex_qp(2.0 * M, np.zeros(k), 1.0, tol=2e-13 * float(np.max(np.abs(M))))
     if qp.status != OPTIMAL:
         return MfcqCertificate(
-            verdict=DEGENERATE, active=act, reason="hull QP did not converge", cert_tol=tol
+            verdict=DEGENERATE, active=act, reason="hull QP did not converge"
         )
     lam = qp.x
     dist = float(np.linalg.norm(Gp.T @ lam))
     w = G.T @ lam
     kappa, _ = _fit_kappa(H, w - Gp.T @ lam)
-    if dist <= tol:
+    if dist <= DEFAULT_CERT_TOL:
         verdict = FAILS
-    elif dist <= degenerate_band * tol:
+    elif dist <= DEGENERATE_BAND * DEFAULT_CERT_TOL:
         verdict = DEGENERATE
     else:
         verdict = HOLDS
@@ -245,7 +216,6 @@ def check_mfcq_hull(
         multipliers=tuple(lam),
         kappa=tuple(kappa),
         hull_distance=dist,
-        cert_tol=tol,
     )
 
 
@@ -258,11 +228,6 @@ def check_mfcq_hull(
 class SweepConfig:
     samples: int = 1000
     seed: int = 0
-    tau_act: float = DEFAULT_ACTIVE_TOL
-    tol: float = DEFAULT_MARGIN_TOL
-    cert_tol: float = DEFAULT_CERT_TOL
-    bisect_iters: int = 60
-    interior_attempts: int = 20000
     extra_points: tuple = ()  # user probe points certified alongside samples
 
 
@@ -277,7 +242,11 @@ class SweepRow:
 class SweepResult:
     status: str  # "ok" | "infeasible"
     rows: list[SweepRow] = field(default_factory=list)
-    worst_margin: float = math.inf
+
+    @property
+    def worst_margin(self) -> float:
+        """Smallest certificate measure over the rows; inf without rows."""
+        return min((row.certificate.measure for row in self.rows), default=math.inf)
 
     @property
     def verdicts(self) -> dict:
@@ -297,13 +266,13 @@ def _max_violation(prob, b, P) -> np.ndarray:
     return np.max(values_many(prob.inequalities, P) - b, axis=1)
 
 
-def _find_interior_point(prob, pert, rng, attempts) -> np.ndarray | None:
+def _find_interior_point(prob, pert, rng) -> np.ndarray | None:
     box = prob.box_array()
     b = pert.bounds(prob)
     best, best_val = None, 0.0
     batch = 512
     done = 0
-    while done < attempts:
+    while done < INTERIOR_ATTEMPTS:
         pts = rng.uniform(box[:, 0], box[:, 1], size=(batch, prob.num_vars))
         vals = _max_violation(prob, b, pts)
         i = int(np.argmin(vals))
@@ -325,7 +294,9 @@ def sweep_mfcq(
     Points are generated by shooting random rays from a strictly feasible
     interior point and bisecting to the feasibility boundary; rays that exit
     the sample box while still feasible are discarded (no constraint is
-    active there).  Equality-constrained problems are not swept.
+    active there).  The boundary points (ids 0..samples-1) and then the
+    feasible probe points (id samples + j for extra_points[j]) are certified
+    by check_mfcq_lp.  Equality-constrained problems are not swept.
     """
     if prob.equalities:
         raise ValueError("sweep_mfcq supports inequality-only problems")
@@ -336,17 +307,15 @@ def sweep_mfcq(
     b = pert.bounds(prob)
     box = prob.box_array()
 
-    x0 = _find_interior_point(prob, pert, rng, config.interior_attempts)
+    x0 = _find_interior_point(prob, pert, rng)
     if x0 is None:
         return SweepResult(status="infeasible")
 
     span = float(np.max(box[:, 1] - box[:, 0]))
-    rows: list[SweepRow] = []
-    worst = math.inf
-    produced = 0
+    points: list[np.ndarray] = []  # boundary samples; sample id = position
     attempts = 0
-    while produced < config.samples and attempts < 20 * config.samples:
-        batch = min(max(256, config.samples), config.samples - produced + 64)
+    while len(points) < config.samples and attempts < 20 * config.samples:
+        batch = min(max(256, config.samples), config.samples - len(points) + 64)
         attempts += batch
         dirs = rng.normal(size=(batch, prob.num_vars))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -368,35 +337,24 @@ def sweep_mfcq(
             t[alive] *= 2.0
         keep = ~np.isnan(t_hi)
         t_lo, t_hi, dirs = t_lo[keep], t_hi[keep], dirs[keep]
-        for _ in range(config.bisect_iters):
+        for _ in range(BISECT_ITERS):
             mid = 0.5 * (t_lo + t_hi)
             bad = _max_violation(prob, b, x0 + mid[:, None] * dirs) > 0
             t_hi = np.where(bad, mid, t_hi)
             t_lo = np.where(bad, t_lo, mid)
-        for xb in x0 + t_lo[:, None] * dirs:
-            if produced >= config.samples:
-                break
-            cert = check_mfcq_lp(
-                prob, pert, xb, tau_act=config.tau_act, tol=config.tol,
-                cert_tol=config.cert_tol,
-            )
-            rows.append(SweepRow(sample_id=produced, x=tuple(xb), certificate=cert))
-            worst = min(worst, cert.measure)
-            produced += 1
+        points.extend((x0 + t_lo[:, None] * dirs)[: config.samples - len(points)])
 
+    labelled = list(enumerate(points))
     for j, pt in enumerate(config.extra_points):
         pt = np.asarray(pt, dtype=float)
-        ineq, eq = feasibility_residual(prob, pert, pt)
-        if max(ineq, eq) > config.tau_act:
-            continue
-        cert = check_mfcq_lp(
-            prob, pert, pt, tau_act=config.tau_act, tol=config.tol,
-            cert_tol=config.cert_tol,
-        )
-        rows.append(SweepRow(sample_id=config.samples + j, x=tuple(pt), certificate=cert))
-        worst = min(worst, cert.measure)
-
-    return SweepResult(status="ok", rows=rows, worst_margin=worst)
+        if max(feasibility_residual(prob, pert, pt)) > DEFAULT_ACTIVE_TOL:
+            continue  # an infeasible probe is dropped; its sample id stays unused
+        labelled.append((config.samples + j, pt))
+    rows = [
+        SweepRow(sample_id=i, x=tuple(pt), certificate=check_mfcq_lp(prob, pert, pt))
+        for i, pt in labelled
+    ]
+    return SweepResult(status="ok", rows=rows)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -375,7 +375,7 @@ def scan_singular(prob: ProblemInstance, window, starts: int, seed: int) -> Scan
             f"problem has {m} inequalities; pattern enumeration is limited to "
             f"{PATTERN_GUARD} to keep 3^m subsets tractable"
         )
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = (float(v) for v in window) if len(window) == 2 else (math.nan, math.nan)
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError("window must be a finite nondegenerate interval")
     if starts < 1:

@@ -217,7 +217,9 @@ def test_scan_determinism_across_invocations(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("window", ["--window=-inf,1", "--window=0,inf", "--window=nan,1"])
+@pytest.mark.parametrize(
+    "window", ["--window=-inf,1", "--window=0,inf", "--window=nan,1", "--window=1", "--window=0,1,2"]
+)
 def test_scan_nonfinite_window_exits_2(window, capsys):
     assert main(["scan", "--problem", "cusp", window]) == 2
     err = capsys.readouterr().err
@@ -263,3 +265,39 @@ def test_mfcq_point_csv_exits_2(tmp_path, capsys):
     assert code == 2
     assert "error: --format csv" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mfcq", "--problem", "cusp", "--alpha", "0.1", "--samples", "5", "--format", "csv"],
+        ["scan", "--problem", "cusp", "--window=-0.5,0.5", "--starts", "10", "--format", "csv"],
+        ["esqm", "--problem", "cusp_boxed", "--alpha", "0.1", "--objective-linear=-1,0",
+         "--format", "csv"],
+        ["mfcq", "--problem", "cusp", "--alpha", "0.1", "--samples", "5", "--method", "hull",
+         "--out", "sweep.json"],
+    ],
+    ids=["mfcq-csv", "scan-csv", "esqm-csv", "mfcq-sweep-hull"],
+)
+def test_ignored_flags_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["--problem", "ball_box"], "'n'"),
+        (["--problem", "ball_box", "--n", "2"], "'a'"),
+        (["--problem", "grid_boxes", "--n", "2", "--a", "0.5,0.3"], "'d'"),
+    ],
+)
+def test_catalog_missing_parameter_exits_2(argv, missing, capsys):
+    assert main(["catalog", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+    assert "Traceback" not in err

@@ -103,6 +103,22 @@ def test_catalog_parameter_validation():
         catalog("no_such_family")
 
 
+@pytest.mark.parametrize(
+    "name, params, missing",
+    [
+        ("ball_box", {}, "n"),
+        ("ball_box", {"a": (0.4, 0.2)}, "n"),
+        ("ball_box", {"n": 2}, "a"),
+        ("grid_boxes", {"d": 4, "a": (0.5, 0.3)}, "n"),
+        ("grid_boxes", {"n": 2, "a": (0.5, 0.3)}, "d"),
+        ("grid_boxes", {"n": 2, "d": 4}, "a"),
+    ],
+)
+def test_catalog_missing_parameter_is_named(name, params, missing):
+    with pytest.raises(ValueError, match=f"requires parameter '{missing}'"):
+        catalog(name, **params)
+
+
 def test_catalog_families_constructible():
     for name in CATALOG_FAMILIES:
         if name == "ball_box":

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from perturbcq import qualification
 from perturbcq.convexsolve import ITER_LIMIT, OPTIMAL, LpProblem, SolveStatus, solve_lp
 from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
 from perturbcq.poly import Polynomial
@@ -110,6 +111,36 @@ def test_independence_more_equalities_than_vars():
     x1 = Polynomial.variable(1, 0)
     prob = ProblemInstance(num_vars=1, inequalities=(x1,), equalities=(x1, x1 * x1))
     assert not equality_gradients_independent(prob, (0.5,))
+
+
+@pytest.mark.parametrize("second", ["independent", "dependent"])
+def test_certificates_evaluate_equality_jacobian_once(second, monkeypatch):
+    x1, x2, x3 = (Polynomial.variable(3, j) for j in range(3))
+    h2 = x2 + x1 * x1 if second == "independent" else x3 + x1 * x1
+    prob = ProblemInstance(
+        num_vars=3,
+        inequalities=(x1 + x2 + x3, x1 - x2, -x1 + 0.1 * x3),
+        equalities=(x3 - x1 * x2, h2),
+    )
+    evaluated = []
+    real = qualification.jacobians_many
+
+    def counting(polys, X):
+        evaluated.extend(p for p in polys if any(p is h for h in prob.equalities))
+        return real(polys, X)
+
+    monkeypatch.setattr(qualification, "jacobians_many", counting)
+    for check in (check_mfcq_lp, check_mfcq_hull):
+        evaluated.clear()
+        cert = check(prob, diag(0.0), (0.0, 0.0, 0.0))
+        # independent: projected onto the complement of span{grad h}, the
+        # active gradients are (1,0,0), (1,0,0), (-1,0,0), and zero is in
+        # their hull; dependent: the rank test fails the point
+        assert cert.verdict == FAILS
+        assert cert.active.indices == (0, 1, 2)
+        if second == "dependent":
+            assert cert.reason == "equality gradients linearly dependent"
+        assert len(evaluated) == len(prob.equalities)  # each gradient once
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +392,20 @@ def test_sweep_perturbed_cusp_all_hold():
     assert res.worst_margin > 0
 
 
+def test_sweep_worst_margin_covers_probe_rows():
+    res = sweep_mfcq(
+        catalog("cusp"), diag(0.0),
+        SweepConfig(samples=20, seed=0, extra_points=((5.0, 5.0), (0.0, 0.0))),
+    )
+    # the infeasible probe (id 20) is dropped and leaves its id unused
+    assert [row.sample_id for row in res.rows] == [*range(20), 21]
+    measures = [row.certificate.measure for row in res.rows]
+    assert res.worst_margin == min(measures) == measures[-1] < min(measures[:-1])
+    empty = sweep_mfcq(catalog("ball_box", n=2, a=(0.4, 0.2)), diag(2.0), SweepConfig(samples=10))
+    assert empty.status == "infeasible"
+    assert empty.worst_margin == math.inf
+
+
 def test_sweep_propagates_certificate_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("point is not feasible")
@@ -389,7 +434,7 @@ def test_sweep_regular_ball_box_level():
 def test_sweep_reports_infeasible():
     prob = catalog("ball_box", n=2, a=(0.4, 0.2))
     # below the first tangency level the feasible set is empty
-    res = sweep_mfcq(prob, diag(2.0), SweepConfig(samples=10, seed=0, interior_attempts=2000))
+    res = sweep_mfcq(prob, diag(2.0), SweepConfig(samples=10, seed=0))
     assert res.status == "infeasible"
     assert not res.rows
 
