@@ -53,7 +53,6 @@ from .scanner import (
     SingularWitness,
     analytic_singulars_ball_box,
     analytic_singulars_grid,
-    build_singular_system,
     milnor_thom_bound,
     scan_singular,
     solve_system_multistart,
@@ -92,7 +91,6 @@ __all__ = [
     "SingularWitness",
     "ScanReport",
     "milnor_thom_bound",
-    "build_singular_system",
     "solve_system_multistart",
     "scan_singular",
     "analytic_singulars_ball_box",

@@ -267,6 +267,8 @@ def run_esqm(prob: ProblemInstance, f: Polynomial | None, x0, params: EsqmParams
     f = f if f is not None else prob.objective
     if f is None:
         raise ValueError("an objective is required")
+    if not np.isfinite(np.asarray(x0, dtype=float)).all():
+        raise ValueError("x0 must be finite")
     params_try = params
     trace = _single_run(prob, f, x0, params_try)
     retries = 0

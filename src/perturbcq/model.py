@@ -34,6 +34,10 @@ class PerturbationSpec:
     alpha: float = 0.0
     mu: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if not np.isfinite([self.alpha, *self.mu]).all():
+            raise ValueError("perturbation levels must be finite")
+
     @classmethod
     def diagonal(cls, alpha: float) -> "PerturbationSpec":
         return cls(kind="diagonal", alpha=float(alpha))
@@ -151,6 +155,8 @@ def _shifted_values(prob: ProblemInstance, pert: PerturbationSpec, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.num_vars,):
         raise ValueError(f"point has shape {x.shape}, expected ({prob.num_vars},)")
+    if not np.isfinite(x).all():
+        raise ValueError("point has a non-finite coordinate")
     shifted = values_many(prob.inequalities, x[None, :])[0] - pert.bounds(prob)
     eq = np.abs(values_many(prob.equalities, x[None, :])[0])
     return shifted, float(np.max(eq, initial=0.0))

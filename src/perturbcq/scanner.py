@@ -2,10 +2,10 @@
 
 A level alpha is singular when some feasible point of the perturbed set
 admits a vanishing convex combination of active inequality gradients (modulo
-the span of equality gradients).  For each candidate activity pattern (K, L)
-— K the support of the combination, L the full active set — the witness
-equations form a polynomial system in (x, lambda, kappa, alpha) that is
-solved by multi-start Levenberg-Marquardt.  Closed-form oracles are provided
+the span of equality gradients).  For each of the 2^m candidate supports K of
+the combination, the witness equations form a square polynomial system in
+(x, lambda, kappa, alpha), solved by multi-start Levenberg-Marquardt; the full
+active set L of a root is read off its point.  Closed-form oracles are given
 for the ball-with-box and grid-of-boxes catalog families, together with the
 degree-based upper bound on the number of singular levels.
 """
@@ -16,11 +16,11 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ProblemInstance
+from .model import PerturbationSpec, ProblemInstance, active_set
 from .poly import hessians_many, jacobians_many, values_many
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SingularWitness",
     "ScanReport",
     "milnor_thom_bound",
-    "build_singular_system",
     "solve_system_multistart",
     "scan_singular",
     "analytic_singulars_ball_box",
@@ -41,7 +40,7 @@ LAMBDA_MIN = 1e-10       # strict-positivity margin on the weights
 SIGMA_SLACK = 1e-9       # strict-slack margin on constraints outside L
 DEDUP_TOL = 1e-6         # alpha clustering width
 WINDOW_EDGE = 1e-9       # scan windows are open: edges excluded by this margin
-PATTERN_GUARD = 12       # refuse subset enumeration beyond 3^12 patterns
+PATTERN_GUARD = 12       # refuse support enumeration beyond 2^12 supports
 
 
 def milnor_thom_bound(n: int, m: int, d: int, r: int = 0) -> int:
@@ -178,11 +177,6 @@ class SingularSystem:
         bounds = np.where(self._outside_perturbed, alpha, 0.0)
         slack = bounds - values_many(self._g_outside, x[None, :])[0]
         return float(lam.min()), float(np.min(slack, initial=math.inf))
-
-
-def build_singular_system(prob: ProblemInstance, K, L) -> SingularSystem:
-    """Assemble the witness system for activity pattern (K, L)."""
-    return SingularSystem(prob, K, L)
 
 
 def _levenberg_marquardt(system: SingularSystem, Z0: np.ndarray,
@@ -340,40 +334,58 @@ class ScanReport:
                 )
 
 
-def _enumerate_patterns(prob: ProblemInstance):
+def _enumerate_supports(prob: ProblemInstance):
+    """Yield (K, seed index) for every support K holding a perturbable index.
+    Each K reserves 2^(m - |K|) seed slots, one per active set L containing
+    it, and draws from the first: the numbering of a scan over all (K, L)."""
     m = len(prob.inequalities)
     pert = set(prob.perturbable)
-    indices = list(range(m))
+    index = 0
     for ksize in range(1, m + 1):
-        for K in itertools.combinations(indices, ksize):
-            if not pert & set(K):
-                continue
-            rest = [j for j in indices if j not in K]
-            for lsize in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, lsize):
-                    yield K, tuple(sorted(K + extra))
+        for K in itertools.combinations(range(m), ksize):
+            if pert & set(K):
+                yield K, index
+                index += 2 ** (m - ksize)
 
 
-def _repolish(system: SingularSystem, witness: SingularWitness, window,
+def _repolish(prob: ProblemInstance, witness: SingularWitness, K, L, window,
               box_slack: float) -> SingularWitness | None:
+    """Short LM run from `witness` on (K, L); the result if it re-verifies."""
+    system = SingularSystem(prob, K, L)
     z0 = np.concatenate([witness.x, witness.lam, witness.kappa, [witness.alpha]])
     Z, resids = _levenberg_marquardt(system, z0[None, :], max_iter=30)
-    return _classify(system, Z[0], float(resids[0]), window, box_slack)
+    polished = _classify(system, Z[0], float(resids[0]), window, box_slack)
+    return polished if polished is not None and polished.side_conditions_ok else None
+
+
+def _promote(prob: ProblemInstance, witness: SingularWitness, window,
+             box_slack: float) -> SingularWitness | None:
+    """Re-polish a borderline witness on (K', L'): K' its indices of weight
+    at least LAMBDA_MIN, L' the active set at its point; None if it fails."""
+    lam = np.array(witness.lam)
+    keep = lam >= LAMBDA_MIN
+    K = tuple(i for i, k in zip(witness.K, keep) if k)
+    if not set(K) & set(prob.perturbable):
+        return None
+    L = active_set(prob, PerturbationSpec.diagonal(witness.alpha), np.array(witness.x)).indices
+    start = replace(witness, lam=tuple(lam[keep] / lam[keep].sum()))
+    return _repolish(prob, start, K, L, window, box_slack)
 
 
 def scan_singular(prob: ProblemInstance, window, starts: int, seed: int) -> ScanReport:
-    """Enumerate all activity patterns, solve each witness system by
-    multi-start, and cluster the surviving alpha values.
+    """Solve the square witness system of every support K by multi-start,
+    and cluster the surviving alpha values.
 
     The window is treated as open: levels at its edges are not reported.
-    Each cluster's best witness is re-polished before being reported; clusters
-    whose witnesses all sit on a borderline side condition land in
-    `uncertain` instead of the main list."""
+    Each cluster's best witness is re-polished before being reported.  A
+    cluster whose witnesses all sit on a borderline side condition is
+    reported if one of them, in residual order, passes `_promote`; otherwise
+    it lands in `uncertain` instead of the main list."""
     m = len(prob.inequalities)
     if m > PATTERN_GUARD:
         raise ValueError(
-            f"problem has {m} inequalities; pattern enumeration is limited to "
-            f"{PATTERN_GUARD} to keep 3^m subsets tractable"
+            f"problem has {m} inequalities; support enumeration is limited to "
+            f"{PATTERN_GUARD} to keep 2^m supports tractable"
         )
     lo, hi = (float(v) for v in window) if len(window) == 2 else (math.nan, math.nan)
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
@@ -385,43 +397,35 @@ def scan_singular(prob: ProblemInstance, window, starts: int, seed: int) -> Scan
 
     accepted: list[SingularWitness] = []
     borderline: list[SingularWitness] = []
-    systems: dict[tuple, SingularSystem] = {}
-    root = np.random.SeedSequence(seed)
-    for sys_index, (K, L) in enumerate(_enumerate_patterns(prob)):
-        system = build_singular_system(prob, K, L)
-        systems[(K, L)] = system
-        sols = solve_system_multistart(
-            system, (lo, hi), starts, np.random.SeedSequence((seed, sys_index))
-        )
-        for w in sols:
+    for K, sys_index in _enumerate_supports(prob):
+        system = SingularSystem(prob, K, K)
+        seeds = np.random.SeedSequence((seed, sys_index))
+        for w in solve_system_multistart(system, (lo, hi), starts, seeds):
             (accepted if w.side_conditions_ok else borderline).append(w)
 
-    def cluster(witnesses: list[SingularWitness]) -> list[SingularWitness]:
-        witnesses = sorted(witnesses, key=lambda w: (w.alpha, w.K, w.L))
-        reps: list[SingularWitness] = []
-        group: list[SingularWitness] = []
-        for w in witnesses:
-            if group and w.alpha - group[-1].alpha > DEDUP_TOL:
-                reps.append(min(group, key=lambda g: g.residual_norm))
-                group = []
-            group.append(w)
-        if group:
-            reps.append(min(group, key=lambda g: g.residual_norm))
-        return reps
+    def clusters(witnesses: list[SingularWitness]) -> list[list[SingularWitness]]:
+        """Alpha runs with gaps <= DEDUP_TOL, each sorted by residual."""
+        groups: list[list[SingularWitness]] = []
+        for w in sorted(witnesses, key=lambda w: (w.alpha, w.K, w.L)):
+            if not groups or w.alpha - groups[-1][-1].alpha > DEDUP_TOL:
+                groups.append([])
+            groups[-1].append(w)
+        return [sorted(g, key=lambda w: w.residual_norm) for g in groups]
 
     final: list[SingularWitness] = []
-    for rep in cluster(accepted):
-        polished = _repolish(systems[(rep.K, rep.L)], rep, (lo, hi), box_slack)
-        if polished is not None and polished.side_conditions_ok:
-            final.append(polished)
+    for best, *_ in clusters(accepted):
+        final.append(_repolish(prob, best, best.K, best.L, (lo, hi), box_slack) or best)
+    uncertain: list[SingularWitness] = []
+    for group in clusters(borderline):
+        if any(abs(group[0].alpha - f.alpha) <= DEDUP_TOL for f in final):
+            continue  # duplicates a reported level
+        for w in group:
+            promoted = _promote(prob, w, (lo, hi), box_slack)
+            if promoted is not None:
+                final.append(promoted)
+                break
         else:
-            final.append(rep)
-    # borderline clusters that duplicate an accepted level are dropped
-    uncertain = [
-        w
-        for w in cluster(borderline)
-        if all(abs(w.alpha - f.alpha) > DEDUP_TOL for f in final)
-    ]
+            uncertain.append(group[0])
     final.sort(key=lambda w: w.alpha)
 
     bound = milnor_thom_bound(

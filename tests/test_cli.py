@@ -232,6 +232,27 @@ def test_scan_without_starts_exits_2(capsys):
     assert "error: starts must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mfcq", "--problem", "cusp", "--point", "nan,0"],
+        ["mfcq", "--problem", "cusp", "--alpha", "nan", "--point", "0,0"],
+        ["mfcq", "--problem", "cusp", "--mu=0,inf", "--point", "0,0"],
+        ["homotopy", "--problem", "cusp_boxed", "--objective-linear=-1,0", "--schedule", "nan"],
+        ["esqm", "--problem", "cusp_boxed", "--objective-linear=-1,0", "--alpha", "nan"],
+        ["esqm", "--problem", "cusp_boxed", "--objective-linear=-1,0", "--alpha", "0.1",
+         "--x0", "nan,0"],
+    ],
+    ids=["mfcq-point", "mfcq-alpha", "mfcq-mu", "homotopy-schedule", "esqm-alpha", "esqm-x0"],
+)
+def test_nonfinite_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_mfcq_sweep_without_samples_exits_2(samples, capsys):
     code = main(["mfcq", "--problem", "cusp", "--alpha", "0.1", f"--samples={samples}"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,13 @@ def test_run_requires_objective_and_no_equalities():
         run_esqm(eq_prob, x1, (0.0, 0.0), params)
 
 
+@pytest.mark.parametrize("x0", [(math.nan, 0.0), (0.0, -math.inf)])
+def test_run_rejects_nonfinite_start(x0):
+    prob, f, template = cusp_boxed_template()
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run_esqm(prob, f, x0, template)
+
+
 def test_trace_exports(tmp_path):
     prob, f, params = ball_box_setup()
     trace = run_esqm(prob, f, (-0.5, -0.5), params)
@@ -438,3 +447,9 @@ def test_homotopy_rejects_bad_schedule():
         homotopy_run(prob, f, [0.1, 0.2], template)
     with pytest.raises(ValueError):
         homotopy_run(prob, f, [0.1, -0.01], template)
+
+
+def test_homotopy_rejects_nonfinite_level():
+    prob, f, template = cusp_boxed_template()
+    with pytest.raises(ValueError, match="finite"):
+        homotopy_run(prob, f, [math.nan], template)

@@ -32,6 +32,21 @@ def test_perturbation_bounds_vector():
         PerturbationSpec.vector((1.0,)).bounds(prob)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_perturbation_rejects_nonfinite_levels(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PerturbationSpec.diagonal(bad)
+    with pytest.raises(ValueError, match="finite"):
+        PerturbationSpec.vector((0.0, bad))
+
+
+@pytest.mark.parametrize("query", [active_set, feasibility_residual])
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf)])
+def test_point_queries_reject_nonfinite_coordinates(query, point):
+    with pytest.raises(ValueError, match="non-finite"):
+        query(catalog("cusp"), diag(0.0), point)
+
+
 def test_feasibility_residual_cusp():
     prob = catalog("cusp")
     assert feasibility_residual(prob, diag(0.0), (0.0, 0.0)) == (0.0, 0.0)

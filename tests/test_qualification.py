@@ -223,6 +223,13 @@ def test_lp_rejects_infeasible_point():
         check_mfcq_lp(catalog("cusp"), diag(0.0), (1.0, 0.0))
 
 
+@pytest.mark.parametrize("check", [check_mfcq_lp, check_mfcq_hull], ids=["lp", "hull"])
+def test_certificates_reject_nonfinite_point(check):
+    # a NaN coordinate used to give an empty active set and a HOLDS verdict
+    with pytest.raises(ValueError, match="non-finite"):
+        check(catalog("cusp"), diag(0.0), np.array([math.nan, 0.0]))
+
+
 def test_hull_fails_at_cusp_origin():
     cert = check_mfcq_hull(catalog("cusp"), diag(0.0), (0.0, 0.0))
     assert cert.verdict == FAILS
@@ -423,6 +430,12 @@ def test_sweep_cusp_probe_point_fails():
     )
     counts = res.verdicts
     assert counts[FAILS] + counts[DEGENERATE] >= 1
+
+
+def test_sweep_rejects_nonfinite_probe_point():
+    config = SweepConfig(samples=5, seed=0, extra_points=((math.nan, 0.0),))
+    with pytest.raises(ValueError, match="non-finite"):
+        sweep_mfcq(catalog("cusp"), diag(0.1), config)
 
 
 def test_sweep_regular_ball_box_level():

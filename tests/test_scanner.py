@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -10,9 +11,9 @@ from perturbcq.poly import Polynomial, jacobians_many, values_many
 from perturbcq.qualification import FAILS, DEGENERATE, check_mfcq_hull, sweep_mfcq, SweepConfig
 from perturbcq.scanner import (
     ScanReport,
+    SingularSystem,
     analytic_singulars_ball_box,
     analytic_singulars_grid,
-    build_singular_system,
     milnor_thom_bound,
     scan_singular,
     solve_system_multistart,
@@ -67,7 +68,7 @@ def test_bound_rejects_bad_inputs():
 
 
 def test_cusp_system_residual_at_known_solution():
-    sys = build_singular_system(catalog("cusp"), K=(0, 1), L=(0, 1))
+    sys = SingularSystem(catalog("cusp"), K=(0, 1), L=(0, 1))
     # 2 stationarity + 1 weight-normalization + 2 activity rows; (x, lam, alpha)
     assert sys.num_rows == 5 and sys.num_unknowns == 5
     res = sys.residual(x=(0.0, 0.0), lam=(0.5, 0.5), kappa=(), alpha=0.0)
@@ -76,7 +77,7 @@ def test_cusp_system_residual_at_known_solution():
 
 def test_ball_box_system_residual_at_corner():
     prob = catalog("ball_box", n=2, a=(0.4, 0.2))
-    sys = build_singular_system(prob, K=(0, 1, 2), L=(0, 1, 2))
+    sys = SingularSystem(prob, K=(0, 1, 2), L=(0, 1, 2))
     # stationarity at (-1,-1): lam0*(2.8,2.4) + lam1*(-2,0) + lam2*(0,-2) = 0
     lam0 = 1.0 / (1.0 + 1.4 + 1.2)
     lam = (lam0, 1.4 * lam0, 1.2 * lam0)
@@ -88,7 +89,7 @@ def test_system_zero_gradient_pattern_structure():
     # pattern where the only active gradient vanishes at the solution:
     # the weight rows still force lam = 1
     prob = catalog("ball_box", n=2, a=(0.4, 0.2))
-    sys = build_singular_system(prob, K=(0,), L=(0,))
+    sys = SingularSystem(prob, K=(0,), L=(0,))
     res = sys.residual(x=(0.4, 0.2), lam=(1.0,), kappa=(), alpha=8.0)
     assert np.max(np.abs(res)) <= 1e-12
 
@@ -96,13 +97,13 @@ def test_system_zero_gradient_pattern_structure():
 def test_system_rejects_fixed_only_support():
     prob = catalog("ball_box", n=2, a=(0.4, 0.2))
     with pytest.raises(ValueError):
-        build_singular_system(prob, K=(1, 2), L=(1, 2))
+        SingularSystem(prob, K=(1, 2), L=(1, 2))
     with pytest.raises(ValueError):
-        build_singular_system(prob, K=(0, 1), L=(0,))  # L must contain K
+        SingularSystem(prob, K=(0, 1), L=(0,))  # L must contain K
 
 
 def test_multistart_cusp_finds_origin():
-    sys = build_singular_system(catalog("cusp"), K=(0, 1), L=(0, 1))
+    sys = SingularSystem(catalog("cusp"), K=(0, 1), L=(0, 1))
     sols = solve_system_multistart(sys, (-0.5, 0.5), starts=200, seed=7)
     assert sols
     assert min(abs(w.alpha) for w in sols) <= 1e-9
@@ -120,7 +121,7 @@ def test_multistart_separated_discs_empty():
         inequalities=(x1 * x1 + x2 * x2 - 1.0, (x1 - 4.0) ** 2 + x2 * x2 - 1.0),
         sample_box=((-1.5, 5.5), (-1.5, 1.5)),
     )
-    sys = build_singular_system(prob, K=(0, 1), L=(0, 1))
+    sys = SingularSystem(prob, K=(0, 1), L=(0, 1))
     sols = solve_system_multistart(sys, (-0.25, 0.25), starts=300, seed=3)
     assert sols == []
 
@@ -149,7 +150,7 @@ def equality_problem():
     ids=["cusp", "ball_box_L_wider", "ball_box_single", "grid_boxes", "equality"],
 )
 def test_linearization_matches_finite_differences(prob, K, L):
-    sys = build_singular_system(prob, K, L)
+    sys = SingularSystem(prob, K, L)
     rng = np.random.default_rng(17)
     box = prob.box_array()
     S, n, k, r = 6, sys.n, len(sys.K), sys.r
@@ -205,7 +206,7 @@ def test_lm_linearizes_each_iterate_once(monkeypatch):
         counted("side_margins", scanner.SingularSystem.side_margins),
     )
     prob = catalog("ball_box", n=2, a=(0.4, 0.2))
-    sys = build_singular_system(prob, K=(0, 1, 2), L=(0, 1, 2))
+    sys = SingularSystem(prob, K=(0, 1, 2), L=(0, 1, 2))
     sols = solve_system_multistart(sys, (0.0, 8.0), starts=50, seed=3)
     assert sols
     # one linearization at the starts plus at most one per LM iteration
@@ -328,6 +329,116 @@ def test_scan_between_singular_levels_all_hold():
             prob, PerturbationSpec.diagonal(alpha), SweepConfig(samples=60, seed=2)
         )
         assert res.all_hold, f"alpha={alpha}"
+
+
+# ---------------------------------------------------------------------------
+# one square system per support
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, perturbable", [(3, (0,)), (4, (1, 3)), (3, (0, 1, 2))])
+def test_support_seed_index_is_position_among_all_patterns(m, perturbable):
+    # a support draws the seed its (K, K) pattern had when every (K, L)
+    # pattern, L containing K, was enumerated in size-then-lexicographic order
+    x = Polynomial.variable(1, 0)
+    prob = ProblemInstance(
+        num_vars=1, inequalities=tuple(x - float(k) for k in range(m)), perturbable=perturbable
+    )
+    patterns = []
+    for ksize in range(1, m + 1):
+        for K in itertools.combinations(range(m), ksize):
+            if set(K) & set(perturbable):
+                rest = [j for j in range(m) if j not in K]
+                for lsize in range(len(rest) + 1):
+                    for extra in itertools.combinations(rest, lsize):
+                        patterns.append((K, tuple(sorted(K + extra))))
+    expected = [(K, patterns.index((K, K))) for K, L in patterns if K == L]
+    assert list(scanner._enumerate_supports(prob)) == expected
+
+
+def test_scan_solves_one_square_system_per_support(monkeypatch):
+    systems = []
+
+    def counted(system, *args):
+        systems.append((system.K, system.L))
+        return solve_system_multistart(system, *args)
+
+    monkeypatch.setattr(scanner, "solve_system_multistart", counted)
+    prob = catalog("ball_box", n=3, a=(0.4, 0.2, -0.3))
+    scan_singular(prob, (0.0, 12.0), starts=10, seed=0)
+    # the 2^4 - 2^3 supports that hold the perturbable ball constraint
+    assert len(systems) == 8
+    assert all(K == L and 0 in K for K, L in systems)
+
+
+def with_cut(name, cut, perturbable):
+    """A catalog problem plus the constraint `cut` <= 0."""
+    base = catalog(name)
+    return ProblemInstance(
+        num_vars=base.num_vars,
+        inequalities=(*base.inequalities, cut),
+        perturbable=perturbable,
+        sample_box=base.sample_box,
+        name=name,
+    )
+
+
+@pytest.mark.parametrize("perturbable", [(0, 1), (0, 1, 2)], ids=["fixed", "perturbable"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_promotes_root_with_zero_slack(perturbable, seed):
+    # x2 <= 0 passes through the tangency point (1, 0): the square system on
+    # K = (0, 1) finds level 0 with zero slack on the cut, and the weights of
+    # the system on K = (0, 1, 2) leave the cut out
+    prob = with_cut("tangent_discs", Polynomial.variable(2, 1), perturbable)
+    report = scan_singular(prob, (-0.5, 0.5), starts=200, seed=seed)
+    assert report.uncertain == []
+    assert len(report.singular_values) == 1
+    w = report.singular_values[0]
+    assert abs(w.alpha) <= 1e-9
+    assert (w.K, w.L) == ((0, 1), (0, 1, 2))
+    assert w.side_conditions_ok
+    assert w.x == pytest.approx((1.0, 0.0), abs=1e-9)
+
+
+def test_scan_promotion_tries_members_in_residual_order(monkeypatch):
+    tried = []
+    promote = scanner._promote
+
+    def first_fails(prob, witness, *args):
+        tried.append(witness.residual_norm)
+        return None if len(tried) == 1 else promote(prob, witness, *args)
+
+    monkeypatch.setattr(scanner, "_promote", first_fails)
+    prob = with_cut("tangent_discs", Polynomial.variable(2, 1), (0, 1))
+    report = scan_singular(prob, (-0.5, 0.5), starts=200, seed=0)
+    assert len(tried) == 2 and tried[0] <= tried[1]
+    assert report.uncertain == []
+    assert (report.singular_values[0].K, report.singular_values[0].L) == ((0, 1), (0, 1, 2))
+
+
+def test_scan_keeps_fixed_only_combinations_uncertain():
+    # x1^2 <= 0 has a vanishing gradient on its whole zero set, so the square
+    # system on K = (0, 1) has a root at every level with no weight on the
+    # perturbable constraint: no support is left to promote such a root to
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    prob = ProblemInstance(num_vars=2, inequalities=(-x2, x1 * x1), perturbable=(0,))
+    report = scan_singular(prob, (-0.5, 0.5), starts=50, seed=0)
+    assert report.singular_values == []
+    assert report.uncertain
+    assert all(w.K == (0, 1) and w.lam[0] < 1e-10 for w in report.uncertain)
+
+
+def test_scan_cusp_with_cut_through_vertex():
+    # x1 <= 0 passes through the cusp vertex; the root there is degenerate,
+    # so the witness point may sit a little inside the cut
+    prob = with_cut("cusp", Polynomial.variable(2, 0), (0, 1))
+    report = scan_singular(prob, (-0.5, 0.5), starts=200, seed=7)
+    assert report.uncertain == []
+    assert len(report.singular_values) == 1
+    w = report.singular_values[0]
+    assert abs(w.alpha) <= 1e-9
+    assert w.K == (0, 1)
+    assert w.side_conditions_ok
 
 
 def test_scan_guard_on_many_constraints():
