@@ -35,6 +35,7 @@ from .model import (
     active_set,
     catalog,
     feasibility_residual,
+    parse_problem,
     univariate_feasible_intervals,
 )
 from .poly import Monomial, Polynomial, univariate_real_roots
@@ -57,7 +58,6 @@ from .scanner import (
     scan_singular,
     solve_system_multistart,
 )
-from .cli import parse_problem
 
 __version__ = "0.1.0"
 

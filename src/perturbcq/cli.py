@@ -1,5 +1,6 @@
-"""Command-line interface: problem-document parsing and the subcommands
-bound, mfcq, scan, esqm, homotopy, and catalog.
+"""Command-line interface: the subcommands bound, mfcq, scan, esqm,
+homotopy, and catalog.  Problem documents are parsed by
+``model.parse_problem``.
 
 Exit codes: 0 success, 1 the analysis ran and found qualification failures
 (or a run that did not converge), 2 usage or input errors.
@@ -16,9 +17,12 @@ import numpy as np
 from .esqm import EsqmParams, estimate_lipschitz, homotopy_run, run_esqm
 from .model import (
     CATALOG_FAMILIES,
+    DocumentError,
     PerturbationSpec,
     ProblemInstance,
+    _parse_poly,
     catalog,
+    parse_problem,
 )
 from .poly import Polynomial
 from .qualification import (
@@ -33,128 +37,6 @@ from .qualification import (
 from .scanner import milnor_thom_bound, scan_singular
 
 __all__ = ["parse_problem", "main"]
-
-
-class DocumentError(ValueError):
-    """Problem-document validation failure; message cites the JSON path."""
-
-
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise DocumentError(f"{path}: {message}")
-
-
-def _parse_poly(data, num_vars: int, path: str) -> Polynomial:
-    _expect(isinstance(data, dict), path, "expected an object with a 'terms' list")
-    _expect("terms" in data, path, "missing 'terms'")
-    terms = data["terms"]
-    _expect(isinstance(terms, list), f"{path}.terms", "expected a list")
-    parsed = []
-    for t_idx, term in enumerate(terms):
-        tpath = f"{path}.terms[{t_idx}]"
-        _expect(isinstance(term, dict), tpath, "expected an object")
-        _expect("coef" in term, tpath, "missing 'coef'")
-        _expect("exps" in term, tpath, "missing 'exps'")
-        coef = term["coef"]
-        exps = term["exps"]
-        _expect(isinstance(coef, (int, float)), f"{tpath}.coef", "expected a number")
-        _expect(isinstance(exps, list), f"{tpath}.exps", "expected a list of integers")
-        _expect(
-            len(exps) == num_vars,
-            f"{tpath}.exps",
-            f"length {len(exps)} does not match num_vars {num_vars}",
-        )
-        for e_idx, e in enumerate(exps):
-            _expect(
-                isinstance(e, int) and e >= 0,
-                f"{tpath}.exps[{e_idx}]",
-                "expected a nonnegative integer",
-            )
-        parsed.append((float(coef), tuple(exps)))
-    return Polynomial(num_vars, parsed)
-
-
-def parse_problem(source: str) -> ProblemInstance:
-    """Build a validated ProblemInstance from a JSON document.
-
-    `source` is a file path or raw JSON text; perturbable indices in the
-    document are 1-based.  Validation errors name the offending JSON path.
-    """
-    text = source
-    if not source.lstrip().startswith("{"):
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DocumentError(f"cannot read {source!r}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"malformed JSON: {exc}") from exc
-
-    _expect(isinstance(doc, dict), "$", "expected a JSON object")
-    _expect("num_vars" in doc, "$.num_vars", "missing")
-    n = doc["num_vars"]
-    _expect(isinstance(n, int) and n >= 1, "$.num_vars", "expected a positive integer")
-    _expect("inequalities" in doc, "$.inequalities", "missing")
-    ineq_docs = doc["inequalities"]
-    _expect(
-        isinstance(ineq_docs, list) and ineq_docs,
-        "$.inequalities",
-        "expected a nonempty list",
-    )
-    inequalities = [
-        _parse_poly(p, n, f"$.inequalities[{i}]") for i, p in enumerate(ineq_docs)
-    ]
-    equalities = [
-        _parse_poly(p, n, f"$.equalities[{i}]")
-        for i, p in enumerate(doc.get("equalities", []))
-    ]
-    objective = (
-        _parse_poly(doc["objective"], n, "$.objective") if "objective" in doc else None
-    )
-
-    perturbable = None
-    if "perturbable" in doc:
-        raw = doc["perturbable"]
-        _expect(isinstance(raw, list), "$.perturbable", "expected a list of 1-based indices")
-        m = len(inequalities)
-        for i_idx, i in enumerate(raw):
-            _expect(
-                isinstance(i, int) and 1 <= i <= m,
-                f"$.perturbable[{i_idx}]",
-                f"index {i!r} out of range 1..{m}",
-            )
-        perturbable = tuple(i - 1 for i in raw)
-
-    sample_box = None
-    if "sample_box" in doc:
-        raw = doc["sample_box"]
-        _expect(
-            isinstance(raw, list) and len(raw) == n,
-            "$.sample_box",
-            f"expected {n} [lo, hi] pairs",
-        )
-        for b_idx, pair in enumerate(raw):
-            _expect(
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)
-                and pair[0] <= pair[1],
-                f"$.sample_box[{b_idx}]",
-                "expected [lo, hi] with lo <= hi",
-            )
-        sample_box = tuple((float(a), float(b)) for a, b in raw)
-
-    return ProblemInstance(
-        num_vars=n,
-        inequalities=tuple(inequalities),
-        equalities=tuple(equalities),
-        objective=objective,
-        perturbable=perturbable,
-        sample_box=sample_box,
-        name=str(doc.get("name", "")),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,8 @@ def esqm_step(
     if beta_k <= 0:
         raise ValueError("beta_k must be positive")
     x_k = np.asarray(x_k, dtype=float)
+    if not np.isfinite(x_k).all():
+        raise ValueError("x_k must be finite")
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
     _, grad_f, shifted, A = _linearize(prob, f, x_k, bounds)
     return _step(x_k, grad_f, shifted, A, params, beta_k)
@@ -207,6 +209,8 @@ def kkt_residual(prob: ProblemInstance, f: Polynomial, x, lam,
     (x, lam) for the perturbed problem."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     if np.any(lam < 0):
         raise ValueError("multipliers must be nonnegative")
     _, grad_f, shifted, A = _linearize(prob, f, x, pert.bounds(prob))

@@ -10,6 +10,10 @@ import numpy as np
 __all__ = [
     "Monomial",
     "Polynomial",
+    "monomial_table",
+    "evaluate_table",
+    "gradient_family",
+    "hessian_family",
     "values_many",
     "jacobians_many",
     "hessians_many",
@@ -185,12 +189,7 @@ class Polynomial:
 
     def evaluate_many(self, X) -> np.ndarray:
         """Evaluate at many points at once; X has shape (npoints, num_vars)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.num_vars:
-            raise ValueError(f"expected shape (n, {self.num_vars}), got {X.shape}")
-        if self.is_zero:
-            return np.zeros(X.shape[0])
-        return np.prod(X[:, None, :] ** self._exps[None, :, :], axis=2) @ self._coefs
+        return evaluate_table(self._exps, self._coefs[:, None], X)[:, 0]
 
     def evaluate_abs(self, x) -> float:
         """Evaluate with absolute coefficients and |x|; bounds roundoff scale."""
@@ -235,24 +234,75 @@ class Polynomial:
 
 
 # batch evaluation: the one way the package evaluates constraints and their
-# derivatives.  X has shape (S, num_vars); single points pass x[None, :].
+# derivatives.  A family of polynomials is stacked into one monomial table and
+# evaluated by one kernel.  X has shape (S, num_vars); single points pass
+# x[None, :].
+
+
+def monomial_table(polys, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack a family into exponent rows E (T, num_vars), each polynomial's
+    own terms in turn, and coefficients C (T, len(polys)) holding polynomial
+    j's coefficients in column j.  A monomial shared by several polynomials
+    keeps one row per polynomial: merging them costs more than it saves."""
+    counts = [len(p._coefs) for p in polys]
+    E = np.empty((sum(counts), num_vars), dtype=np.int64)
+    C = np.zeros((len(E), len(counts)))
+    start = 0
+    for j, (p, count) in enumerate(zip(polys, counts)):
+        if p.num_vars != num_vars:
+            raise ValueError(f"polynomial in {p.num_vars} variables, expected {num_vars}")
+        E[start : start + count] = p._exps
+        C[start : start + count, j] = p._coefs
+        start += count
+    return E, C
+
+
+def evaluate_table(E, C, X) -> np.ndarray:
+    """Values (S, C.shape[1]) of the family stacked as (E, C) at the points
+    X (S, n): column j is sum_t C[t, j] prod_i X[:, i] ** E[t, i].  The
+    powers are built by repeated products, once per call."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != E.shape[1]:
+        raise ValueError(f"expected shape (n, {E.shape[1]}), got {X.shape}")
+    powers = np.empty((int(E.max(initial=0)) + 1, *X.shape))
+    powers[0] = 1.0
+    for d in range(1, len(powers)):
+        np.multiply(powers[d - 1], X, out=powers[d])
+    if not X.shape[1]:
+        return np.ones((len(X), len(E))) @ C
+    monomials = powers[E[:, 0], :, 0]
+    for i in range(1, X.shape[1]):
+        monomials *= powers[E[:, i], :, i]
+    return monomials.T @ C
+
+
+def gradient_family(polys) -> list[Polynomial]:
+    """The partial derivatives of each polynomial in turn (cached partials)."""
+    return [d for p in polys for d in p.gradient()]
+
+
+def hessian_family(polys, num_vars: int) -> list[Polynomial]:
+    """The upper-triangle second partials of each polynomial in turn, in
+    ``np.triu_indices(num_vars)`` order."""
+    rows, cols = np.triu_indices(num_vars)
+    out = []
+    for p in polys:
+        hess = p.hessian()
+        out += [hess[a][b] for a, b in zip(rows, cols)]
+    return out
 
 
 def values_many(polys, X) -> np.ndarray:
     """Values of each polynomial at each point, shape (S, m)."""
     X = np.asarray(X, dtype=float)
-    out = np.empty((X.shape[0], len(polys)))
-    for i, p in enumerate(polys):
-        out[:, i] = p.evaluate_many(X)
-    return out
+    return evaluate_table(*monomial_table(polys, X.shape[-1]), X)
 
 
 def jacobians_many(polys, X) -> np.ndarray:
     """Gradients of each polynomial at each point, shape (S, m, n)."""
     X = np.asarray(X, dtype=float)
     S, n = X.shape
-    partials = [d for p in polys for d in p.gradient()]
-    return values_many(partials, X).reshape(S, len(polys), n)
+    return values_many(gradient_family(polys), X).reshape(S, len(polys), n)
 
 
 def hessians_many(polys, X) -> np.ndarray:
@@ -261,12 +311,10 @@ def hessians_many(polys, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     S, n = X.shape
     rows, cols = np.triu_indices(n)
+    upper = values_many(hessian_family(polys, n), X).reshape(S, len(polys), len(rows))
     out = np.empty((S, len(polys), n, n))
-    for i, p in enumerate(polys):
-        hess = p.hessian()
-        upper = values_many([hess[a][b] for a, b in zip(rows, cols)], X)
-        out[:, i, rows, cols] = upper
-        out[:, i, cols, rows] = upper
+    out[:, :, rows, cols] = upper
+    out[:, :, cols, rows] = upper
     return out
 
 

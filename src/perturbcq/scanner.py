@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import PerturbationSpec, ProblemInstance, active_set
-from .poly import hessians_many, jacobians_many, values_many
+from .poly import evaluate_table, gradient_family, hessian_family, monomial_table, values_many
 
 __all__ = [
     "SingularSystem",
@@ -104,8 +104,10 @@ class SingularSystem:
       trailing r rows   h_j(x)
     Since K is a subset of L, the values and gradients of [g_L, h] give every
     residual row and every first-derivative entry; the stationarity rows read
-    the gradients of g_K and h out of them by index.  Evaluation is
-    vectorized over a batch of unknown vectors.
+    the gradients of g_K and h out of them by index.  Those values and
+    gradients, with the Hessian upper triangles of [g_K, h], are stacked into
+    one monomial table at construction, so a batch of unknown vectors is
+    linearized by one evaluation.
     """
 
     def __init__(self, prob: ProblemInstance, K, L):
@@ -133,9 +135,13 @@ class SingularSystem:
         self._L_perturbed = np.array([j in pert for j in L], dtype=bool)
         # rows n+1 onward are the values of [g_L, h]; the stationarity rows
         # combine the gradients of [g_K, h] with weights (lam, -kappa)
-        self._active = [prob.inequalities[j] for j in L] + list(prob.equalities)
-        self._stationary = [prob.inequalities[i] for i in K] + list(prob.equalities)
+        active = [prob.inequalities[j] for j in L] + list(prob.equalities)
+        stationary = [prob.inequalities[i] for i in K] + list(prob.equalities)
         self._stationary_rows = [L.index(i) for i in K] + list(range(len(L), len(L) + r))
+        self._upper = np.triu_indices(n)
+        self._table = monomial_table(
+            active + gradient_family(active) + hessian_family(stationary, n), n
+        )
         outside = [j for j in range(m) if j not in L]
         self._g_outside = [prob.inequalities[j] for j in outside]
         self._outside_perturbed = np.array([j in pert for j in outside], dtype=bool)
@@ -144,17 +150,24 @@ class SingularSystem:
         """Residuals (S, num_rows) and Jacobians (S, num_rows, num_unknowns)
         at a batch of unknown vectors Z (S, num_unknowns)."""
         n, k, r, L = self.n, len(self.K), self.r, len(self.L)
+        S = Z.shape[0]
         X, Lam, Kap, Alpha = Z[:, :n], Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
         weights = np.hstack([Lam, -Kap])
-        grads = jacobians_many(self._active, X)
+        table = evaluate_table(*self._table, X)
+        a = L + r
+        grads = table[:, a : a + a * n].reshape(S, a, n)
+        rows, cols = self._upper
+        upper = table[:, a + a * n :].reshape(S, k + r, len(rows))
         stationary = grads[:, self._stationary_rows]
-        F = np.empty((Z.shape[0], self.num_rows))
+        F = np.empty((S, self.num_rows))
         F[:, :n] = np.einsum("sk,skn->sn", weights, stationary)
         F[:, n] = Lam.sum(axis=1) - 1.0
-        F[:, n + 1 :] = values_many(self._active, X)
+        F[:, n + 1 :] = table[:, :a]
         F[:, n + 1 : n + 1 + L] -= np.where(self._L_perturbed, Alpha[:, None], 0.0)
-        J = np.zeros((Z.shape[0], self.num_rows, self.num_unknowns))
-        J[:, :n, :n] = np.einsum("sk,skab->sab", weights, hessians_many(self._stationary, X))
+        J = np.zeros((S, self.num_rows, self.num_unknowns))
+        hess = np.einsum("sk,skt->st", weights, upper)
+        J[:, rows, cols] = hess
+        J[:, cols, rows] = hess
         J[:, :n, n : n + k] = np.swapaxes(stationary[:, :k], 1, 2)
         J[:, :n, n + k : -1] = -np.swapaxes(stationary[:, k:], 1, 2)
         J[:, n, n : n + k] = 1.0
@@ -184,29 +197,43 @@ def _levenberg_marquardt(system: SingularSystem, Z0: np.ndarray,
     """Damped least-squares iteration on a batch of starts; returns the final
     batch and its residual 2-norms.
 
-    Each trial point is linearized once; every start keeps the residual and
-    Jacobian of its accepted point for its next step."""
+    Each iteration steps and linearizes only the live starts.  A start leaves
+    the live set once it has stalled (nu >= 1e8), or once its residual is
+    within RESIDUAL_TOL and its last trial step was rejected: a start is
+    polished until no step improves it, not stopped on first reaching the
+    tolerance.  Every start keeps the residual and Jacobian of its accepted
+    point for its next step."""
     Z = np.array(Z0, dtype=float)
     S, p = Z.shape
     nu = np.full(S, 1e-3)
+    rejected = np.zeros(S, dtype=bool)
     F, J = system.linearize_batch(Z)
     fsq = np.einsum("sr,sr->s", F, F)
     eye = np.eye(p)
+    live = np.arange(S)
     for _ in range(max_iter):
-        if np.all((fsq <= RESIDUAL_TOL**2) | (nu >= 1e8)):
+        live = live[(nu[live] < 1e8) & ((fsq[live] > RESIDUAL_TOL**2) | ~rejected[live])]
+        if not live.size:
             break
-        A = np.einsum("srp,srq->spq", J, J) + nu[:, None, None] * eye
-        rhs = -np.einsum("srp,sr->sp", J, F)
-        delta = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-        Znew = Z + delta
+        Jl = J[live]
+        Jt = np.swapaxes(Jl, 1, 2)
+        JtJ = Jt @ Jl
+        # damping below the rounding level of J'J would leave A singular in
+        # floating point wherever J is rank deficient
+        damping = np.maximum(nu[live], 1e-12 * JtJ.diagonal(axis1=1, axis2=2).max(axis=1))
+        A = JtJ + damping[:, None, None] * eye
+        delta = np.linalg.solve(A, Jt @ F[live, :, None])[:, :, 0]
+        Znew = Z[live] - delta
         Fnew, Jnew = system.linearize_batch(Znew)
         fnew = np.einsum("sr,sr->s", Fnew, Fnew)
-        better = fnew < fsq
-        Z[better] = Znew[better]
-        F[better] = Fnew[better]
-        J[better] = Jnew[better]
-        fsq[better] = fnew[better]
-        nu = np.clip(np.where(better, nu / 3.0, nu * 2.0), 1e-14, 1e9)
+        better = fnew < fsq[live]
+        moved = live[better]
+        Z[moved] = Znew[better]
+        F[moved] = Fnew[better]
+        J[moved] = Jnew[better]
+        fsq[moved] = fnew[better]
+        rejected[live] = ~better
+        nu[live] = np.clip(np.where(better, nu[live] / 3.0, nu[live] * 2.0), 1e-14, 1e9)
     return Z, np.sqrt(np.maximum(fsq, 0.0))
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perturbcq
 from perturbcq.cli import DocumentError, main, parse_problem
 from perturbcq.model import catalog
 from perturbcq.scanner import ScanReport, scan_singular
@@ -83,6 +88,20 @@ def test_bound_command_json(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["bound"] == 2250
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m perturbcq.cli` must not find the module imported already by
+    # the package, which Python reports as a RuntimeWarning
+    src = str(Path(perturbcq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "perturbcq.cli", "bound", "--n", "2", "--m", "2", "--d", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == "3675"
 
 
 def test_mfcq_point_failure_exit_code(capsys):

@@ -307,6 +307,16 @@ def test_run_rejects_nonfinite_start(x0):
         run_esqm(prob, f, x0, template)
 
 
+@pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf)])
+def test_step_and_kkt_reject_nonfinite_point(x):
+    prob, f, template = cusp_boxed_template()
+    params = EsqmParams(alpha=0.1)
+    with pytest.raises(ValueError, match="x_k must be finite"):
+        esqm_step(prob, f, x, params, beta_k=1.0)
+    with pytest.raises(ValueError, match="x must be finite"):
+        kkt_residual(prob, f, x, (0.0, 0.0, 0.0), PerturbationSpec.diagonal(0.1))
+
+
 def test_trace_exports(tmp_path):
     prob, f, params = ball_box_setup()
     trace = run_esqm(prob, f, (-0.5, -0.5), params)

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from perturbcq.poly import (
     Monomial,
     Polynomial,
+    evaluate_table,
     hessians_many,
     jacobians_many,
+    monomial_table,
     univariate_real_roots,
     values_many,
 )
@@ -192,6 +194,21 @@ def test_batch_evaluators_of_no_polynomials():
     assert values_many([], X).shape == (4, 0)
     assert jacobians_many([], X).shape == (4, 0, 3)
     assert hessians_many([], X).shape == (4, 0, 3, 3)
+
+
+def test_monomial_table_keeps_each_polynomial_in_its_column():
+    p = x(2, 0) ** 2 + x(2, 1)
+    q = 3.0 * x(2, 0) ** 2
+    E, C = monomial_table([p, Polynomial.zero(2), q], 2)
+    # the monomial x0^2 shared by p and q keeps one row per polynomial
+    assert E.tolist() == [[2, 0], [0, 1], [2, 0]]
+    assert C.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
+    X = np.array([[0.5, -2.0], [3.0, 1.0]])
+    assert evaluate_table(E, C, X).tolist() == [[-1.75, 0.0, 0.75], [10.0, 0.0, 27.0]]
+    with pytest.raises(ValueError, match="expected 2"):
+        monomial_table([p, x(3, 0)], 2)
+    with pytest.raises(ValueError, match="expected shape"):
+        evaluate_table(E, C, np.zeros((2, 3)))
 
 
 def test_arithmetic_identities():
