@@ -74,7 +74,7 @@ def _check_finite(name, arr, allow_inf=False):
     return arr
 
 
-def solve_lp(lp: LpProblem, tol: float = 1e-9) -> SolveStatus:
+def solve_lp(lp: LpProblem) -> SolveStatus:
     """Solve a dense LP; returns primal point, duals, and a KKT residual.
 
     Infeasible/unbounded are statuses, not exceptions.  Duals follow the
@@ -107,10 +107,7 @@ def solve_lp(lp: LpProblem, tol: float = 1e-9) -> SolveStatus:
     x = np.asarray(res.x, dtype=float)
     lam = -np.asarray(res.ineqlin.marginals) if A is not None else np.zeros(0)
     nu = -np.asarray(res.eqlin.marginals) if E is not None else np.zeros(0)
-    if lp.maximize:
-        obj = float(c @ x)
-    else:
-        obj = float(res.fun)
+    obj = float(c @ x) if lp.maximize else float(res.fun)
 
     # KKT residual in the minimization convention
     grad = c_solve.copy()
@@ -236,6 +233,15 @@ def minimize_simplex_qp(
     return SolveStatus(status=status, objective=float(0.5 * x @ P @ x + c @ x), x=x)
 
 
+def _slack_embedding(Q: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, c) = ([[-Q, 0], [0, 0]], [-q, 0]): the capped-simplex QP as a simplex
+    QP in (mu, slack), for a Q known to be symmetric negative semidefinite."""
+    m = len(q)
+    P = np.zeros((m + 1, m + 1))
+    P[:m, :m] = -Q
+    return P, np.append(-q, 0.0)
+
+
 def solve_capped_simplex_qp(
     qp: CappedSimplexQp, tol: float = 1e-9, max_iter: int = 10_000
 ) -> SolveStatus:
@@ -259,11 +265,8 @@ def solve_capped_simplex_qp(
     if len(eigs) and eigs[-1] > 1e-9 * scale:
         raise ValueError("Q must be negative semidefinite")
 
-    m = len(q)
-    P = np.zeros((m + 1, m + 1))
-    P[:m, :m] = -Q
-    st = minimize_simplex_qp(P, np.append(-q, 0.0), float(qp.beta), tol, max_iter)
-    mu = st.x[:m]
+    st = minimize_simplex_qp(*_slack_embedding(Q, q), float(qp.beta), tol, max_iter)
+    mu = st.x[: len(q)]
     fixed_point = project_capped_simplex(mu + Q @ mu + q, qp.beta)
     return SolveStatus(
         status=st.status,

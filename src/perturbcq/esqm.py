@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .convexsolve import OPTIMAL, CappedSimplexQp, solve_capped_simplex_qp
+from .convexsolve import OPTIMAL, _slack_embedding, minimize_simplex_qp
 from .model import PerturbationSpec, ProblemInstance
-from .poly import Polynomial, hessians_many, jacobians_many, values_many
+from .poly import Polynomial, evaluate_table, gradient_family, hessians_many, monomial_table
 
 __all__ = [
     "EsqmParams",
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-6  # level reported infeasible beyond this final violation
+STEP_TOL = 1e-9  # a run converges once its step is at most this long ...
+KKT_TOL = 1e-8  # ... and the KKT residual of the new iterate at most this
 
 
 class SubproblemError(RuntimeError):
@@ -45,8 +47,9 @@ class SubproblemError(RuntimeError):
 
 @dataclass(frozen=True)
 class EsqmParams:
-    """Tuning knobs of one solver run at a fixed perturbation level alpha.
-
+    """Tuning knobs of one solver run at a fixed perturbation level alpha:
+    the initial penalty beta0, its increment delta, and the step budget
+    max_iter (the stopping tolerances are the constants STEP_TOL, KKT_TOL).
     curvature_obj / curvature_con must dominate the gradient Lipschitz
     constants of the objective / constraints on the region traversed; use
     estimate_lipschitz for a sampled bound.
@@ -57,17 +60,13 @@ class EsqmParams:
     delta: float = 1.0
     curvature_obj: float = 1.0
     curvature_con: float = 1.0
-    step_tol: float = 1e-9
-    kkt_tol: float = 1e-8
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.beta0 <= 0 or self.delta <= 0:
-            raise ValueError("beta0 and delta must be positive")
+        if self.beta0 <= 0 or self.delta <= 0 or self.max_iter < 1:
+            raise ValueError("beta0, delta and max_iter must be positive")
         if self.curvature_obj <= 0 or self.curvature_con <= 0:
             raise ValueError("curvature parameters must be positive")
-        if self.step_tol <= 0 or self.kkt_tol <= 0 or self.max_iter < 1:
-            raise ValueError("tolerances and max_iter must be positive")
 
 
 @dataclass
@@ -152,25 +151,31 @@ def estimate_lipschitz(
     return L_obj, curvature(prob.inequalities)
 
 
-def _linearize(prob, f, x, bounds):
-    """(f(x), grad f(x), g(x) - bounds, Jacobian of g at x) from one value and
-    one Jacobian evaluation of [f, *g] at the point x."""
+def _stack(prob, f):
+    """The values and gradients of [f, *g] stacked in one monomial table."""
     polys = [f, *prob.inequalities]
-    X = x[None, :]
-    vals = values_many(polys, X)[0]
-    jac = jacobians_many(polys, X)[0]
-    return float(vals[0]), jac[0], vals[1:] - bounds, jac[1:]
+    return monomial_table([*polys, *gradient_family(polys)], prob.num_vars)
+
+
+def _linearize(table, x, bounds):
+    """(f(x), grad f(x), g(x) - bounds, Jacobian of g at x) from one
+    evaluation of the table of _stack at the point x."""
+    m = len(bounds) + 1
+    row = evaluate_table(*table, x[None, :])[0]
+    jac = row[m:].reshape(m, len(x))
+    return float(row[0]), jac[0], row[1:m] - bounds, jac[1:]
 
 
 def _step(x_k, grad_f, shifted, A, params, beta_k):
+    # Q is symmetric negative semidefinite and beta_k > 0 by construction
     rho = params.curvature_obj + beta_k * params.curvature_con
     Q = -(A @ A.T) / rho
     Q = 0.5 * (Q + Q.T)
     q = shifted - A @ grad_f / rho
-    status = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta_k), tol=1e-10)
+    status = minimize_simplex_qp(*_slack_embedding(Q, q), beta_k, tol=1e-10)
     if status.status != OPTIMAL:
         raise SubproblemError(f"subproblem dual did not solve: {status.status}")
-    mu = status.x
+    mu = status.x[: len(q)]
     y = x_k - (grad_f + A.T @ mu) / rho
     s = max(0.0, float(np.max(shifted + A @ (y - x_k))))
     return y, s, mu
@@ -199,7 +204,7 @@ def esqm_step(
     if not np.isfinite(x_k).all():
         raise ValueError("x_k must be finite")
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
-    _, grad_f, shifted, A = _linearize(prob, f, x_k, bounds)
+    _, grad_f, shifted, A = _linearize(_stack(prob, f), x_k, bounds)
     return _step(x_k, grad_f, shifted, A, params, beta_k)
 
 
@@ -213,19 +218,20 @@ def kkt_residual(prob: ProblemInstance, f: Polynomial, x, lam,
         raise ValueError("x must be finite")
     if np.any(lam < 0):
         raise ValueError("multipliers must be nonnegative")
-    _, grad_f, shifted, A = _linearize(prob, f, x, pert.bounds(prob))
+    _, grad_f, shifted, A = _linearize(_stack(prob, f), x, pert.bounds(prob))
     return _kkt(grad_f, shifted, A, lam)
 
 
 def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
+    table = _stack(prob, f)
     x = np.asarray(x0, dtype=float)
     beta = params.beta0
     trace = EsqmTrace(beta0_used=params.beta0)
 
     def record(x_, s_, beta_, mu_):
         """Append the iterate and return its linearization for the next step."""
-        obj, grad_f, shifted, A = _linearize(prob, f, x_, bounds)
+        obj, grad_f, shifted, A = _linearize(table, x_, bounds)
         trace.xs.append(tuple(x_))
         trace.slacks.append(float(s_))
         trace.betas.append(float(beta_))
@@ -249,7 +255,7 @@ def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
         x = y
         beta_next = beta if s <= 1e-12 else beta + params.delta
         lin = record(x, s, beta_next, mu)
-        if step <= params.step_tol and trace.kkt_residuals[-1] <= params.kkt_tol:
+        if step <= STEP_TOL and trace.kkt_residuals[-1] <= KKT_TOL:
             trace.termination = "converged"
             trace.converged = True
             return trace
@@ -273,8 +279,7 @@ def run_esqm(prob: ProblemInstance, f: Polynomial | None, x0, params: EsqmParams
         raise ValueError("an objective is required")
     if not np.isfinite(np.asarray(x0, dtype=float)).all():
         raise ValueError("x0 must be finite")
-    params_try = params
-    trace = _single_run(prob, f, x0, params_try)
+    trace = _single_run(prob, f, x0, params)
     retries = 0
     while (
         trace.termination == "max_iter"
@@ -283,8 +288,8 @@ def run_esqm(prob: ProblemInstance, f: Polynomial | None, x0, params: EsqmParams
         and trace.betas[-1] > trace.betas[max(0, len(trace.betas) - 10)]
     ):
         retries += 1
-        params_try = replace(params_try, beta0=params_try.beta0 * 10.0)
-        trace = _single_run(prob, f, x0, params_try)
+        params = replace(params, beta0=params.beta0 * 10.0)
+        trace = _single_run(prob, f, x0, params)
     trace.retries = retries
     return trace
 
@@ -341,15 +346,11 @@ def homotopy_run(
         raise ValueError("schedule must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
-    f = f if f is not None else prob.objective
-    if f is None:
-        raise ValueError("an objective is required")
 
     out = HomotopyTrace()
-    box = prob.box_array()
-    x = box.mean(axis=1)
+    x = prob.box_array().mean(axis=1)
     for alpha in schedule:
-        params = replace(params_template, alpha=alpha, beta0=params_template.beta0)
+        params = replace(params_template, alpha=alpha)
         trace = run_esqm(prob, f, x, params)
         xf = trace.x_final
         if trace.termination == "subproblem_failed":
@@ -360,15 +361,9 @@ def homotopy_run(
             status = "converged"
         else:
             status = "stalled"
-        out.levels.append(
-            HomotopyLevel(
-                alpha=alpha,
-                x=tuple(xf),
-                value=trace.objectives[-1],
-                status=status,
-                trace=trace,
-            )
-        )
+        out.levels.append(HomotopyLevel(
+            alpha=alpha, x=tuple(xf), value=trace.objectives[-1], status=status, trace=trace
+        ))
         if status in ("converged", "stalled"):
             x = xf
     return out

@@ -387,10 +387,10 @@ def test_homotopy_flags_infeasible_level():
 
 
 def test_homotopy_reports_subproblem_failure_per_level(monkeypatch):
-    def unsolved(qp, **kwargs):
+    def unsolved(*args, **kwargs):
         return SolveStatus(status=ITER_LIMIT)
 
-    monkeypatch.setattr("perturbcq.esqm.solve_capped_simplex_qp", unsolved)
+    monkeypatch.setattr("perturbcq.esqm.minimize_simplex_qp", unsolved)
     prob, f, template = cusp_boxed_template()
     trace = homotopy_run(prob, f, [1e-1, 1e-2], template)
     start = tuple(prob.box_array().mean(axis=1))
@@ -404,11 +404,11 @@ def test_homotopy_reports_subproblem_failure_per_level(monkeypatch):
         esqm_step(prob, f, start, template, beta_k=1.0)
     assert issubclass(SubproblemError, RuntimeError)  # the CLI maps it to exit 2
 
-    def broken(qp, **kwargs):
+    def broken(*args, **kwargs):
         raise RuntimeError("not a subproblem failure")
 
     # any other error under esqm_step is not turned into a status
-    monkeypatch.setattr("perturbcq.esqm.solve_capped_simplex_qp", broken)
+    monkeypatch.setattr("perturbcq.esqm.minimize_simplex_qp", broken)
     with pytest.raises(RuntimeError, match="not a subproblem failure"):
         homotopy_run(prob, f, [1e-1], template)
 
@@ -430,25 +430,77 @@ def test_trace_replays_through_public_step_and_residual():
             assert tuple(mu) == trace.multipliers[k + 1]
 
 
+def counting(calls, name, func):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+    return wrapper
+
+
 def test_run_linearizes_each_iterate_once(monkeypatch):
-    calls = {"values_many": 0, "jacobians_many": 0, "evaluate": 0}
-
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
+    calls = {"evaluate_table": 0, "monomial_table": 0, "evaluate": 0}
     prob, f, template = cusp_boxed_template()
-    for name in ("values_many", "jacobians_many"):
-        monkeypatch.setattr(f"perturbcq.esqm.{name}", counted(name, getattr(esqm, name)))
-    monkeypatch.setattr(Polynomial, "evaluate", counted("evaluate", Polynomial.evaluate))
+    for name in ("evaluate_table", "monomial_table"):
+        monkeypatch.setattr(f"perturbcq.esqm.{name}", counting(calls, name, getattr(esqm, name)))
+    monkeypatch.setattr(Polynomial, "evaluate", counting(calls, "evaluate", Polynomial.evaluate))
     trace = homotopy_run(prob, f, [1e-1, 1e-2, 1e-3], template)
     assert all(lvl.status == "converged" and lvl.trace.retries == 0 for lvl in trace.levels)
     iterates = sum(len(lvl.trace.xs) for lvl in trace.levels)
-    assert calls["values_many"] <= iterates
-    assert calls["jacobians_many"] <= iterates
+    runs = sum(1 + lvl.trace.retries for lvl in trace.levels)
+    assert calls["evaluate_table"] <= iterates
+    assert calls["monomial_table"] <= runs
     assert calls["evaluate"] == 0
+
+
+def test_homotopy_steps_skip_the_dual_validation(monkeypatch):
+    # Q = -AA'/rho is negative semidefinite by construction: no step proves it
+    prob, f, template = cusp_boxed_template()
+    calls = {"eigvalsh": 0, "minimize_simplex_qp": 0}
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(calls, "eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(
+        esqm, "minimize_simplex_qp",
+        counting(calls, "minimize_simplex_qp", esqm.minimize_simplex_qp),
+    )
+    trace = homotopy_run(prob, f, [1e-1, 1e-2, 1e-3], template)
+    assert all(lvl.status == "converged" for lvl in trace.levels)
+    assert calls["eigvalsh"] == 0
+    assert calls["minimize_simplex_qp"] == sum(len(lvl.trace.xs) - 1 for lvl in trace.levels)
+
+
+def benchmark_schedule(seed):
+    """The benchmark's five cusp_boxed levels 1e-1 .. 1e-5, each jittered by a
+    factor in [0.8, 1.25]."""
+    rng = np.random.default_rng(seed)
+    lo, hi = math.log(0.8), math.log(1.25)
+    return [10.0**-k * math.exp(rng.uniform(lo, hi)) for k in range(1, 6)]
+
+
+@pytest.fixture(scope="module")
+def benchmark_homotopies():
+    prob, f, template = cusp_boxed_template()
+    return [homotopy_run(prob, f, benchmark_schedule(seed), template) for seed in range(3)]
+
+
+def test_homotopy_multipliers_match_closed_form(benchmark_homotopies):
+    # at x = (alpha^(1/3), 0) both cusp constraints are active with gradients
+    # (3 x1^2, +-1), so -e1 + lam_1 (3 x1^2, 1) + lam_2 (3 x1^2, -1) = 0 has
+    # the unique solution lam_1 = lam_2 = 1 / (6 alpha^(2/3)); the box is slack
+    for trace in benchmark_homotopies:
+        for lvl in trace.levels:
+            assert lvl.status == "converged"
+            lam = 1.0 / (6.0 * lvl.alpha ** (2.0 / 3.0))
+            mu = lvl.trace.multipliers[-1]
+            assert mu[0] == pytest.approx(lam, rel=100 * esqm.KKT_TOL)
+            assert mu[1] == pytest.approx(lam, rel=100 * esqm.KKT_TOL)
+            assert mu[2] == 0.0
+
+
+def test_homotopy_final_penalty_exceeds_multiplier_sum(benchmark_homotopies):
+    # the exact-penalty condition the beta update is built to reach
+    for trace in benchmark_homotopies:
+        for lvl in trace.levels:
+            assert lvl.status == "converged"
+            assert lvl.trace.betas[-1] > sum(lvl.trace.multipliers[-1])
 
 
 def test_homotopy_rejects_bad_schedule():
