@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -94,15 +95,35 @@ def _objective_from_args(args, prob: ProblemInstance) -> Polynomial | None:
     return prob.objective
 
 
+def _strict(value):
+    """`value` with every non-finite float replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _json(payload) -> str:
+    """Indented strict JSON: a non-finite number is written as null."""
+    return json.dumps(_strict(payload), indent=2)
+
+
+def _save(payload, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(_json(payload))
+
+
 def _emit(payload: dict, args, text_lines) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _save(payload, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +196,14 @@ def _cmd_scan(args) -> int:
         if args.format == "csv":
             report.write_csv(args.out)
         else:
-            report.write_json(args.out)
+            _save(report.to_json_dict(), args.out)
     lines = [
         f"problem: {report.problem}  window: {report.window}  seed: {report.seed}",
         f"singular levels ({len(report.singular_values)}, bound {report.bound}):",
         *[f"  alpha = {w.alpha:.9f}  (K={list(w.K)}, L={list(w.L)})" for w in report.singular_values],
     ]
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(_json(report.to_json_dict()))
     else:
         for line in lines:
             print(line)
@@ -214,8 +235,7 @@ def _cmd_esqm(args) -> int:
         if args.format == "csv":
             trace.write_csv(args.out, alpha=args.alpha)
         else:
-            with open(args.out, "w") as fh:
-                json.dump(trace.to_json_dict(), fh, indent=2)
+            _save(trace.to_json_dict(), args.out)
     xf = trace.x_final
     payload = {
         "converged": trace.converged,
@@ -228,7 +248,7 @@ def _cmd_esqm(args) -> int:
         "seed": args.seed,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(
             f"{trace.termination}: x = {np.array2string(xf, precision=8)}, "
@@ -244,7 +264,7 @@ def _cmd_homotopy(args) -> int:
         raise DocumentError("an objective is required (--objective or --objective-linear)")
     trace = homotopy_run(prob, f, args.schedule, _esqm_params(args, prob, args.schedule[0]))
     if args.out:
-        trace.write_json(args.out)
+        _save(trace.to_json_dict(), args.out)
     payload = trace.to_json_dict()
     payload["seed"] = args.seed
     lines = [
@@ -252,7 +272,7 @@ def _cmd_homotopy(args) -> int:
         for lvl in trace.levels
     ]
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for line in lines:
             print(line)
@@ -263,9 +283,8 @@ def _cmd_catalog(args) -> int:
     prob = _load_problem(args)
     doc = prob.to_document()
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-    print(json.dumps(doc, indent=2))
+        _save(doc, args.out)
+    print(_json(doc))
     return 0
 
 

@@ -177,15 +177,13 @@ class Polynomial:
     # evaluation and differentiation ----------------------------------------
 
     def evaluate(self, x) -> float:
-        """Evaluate at a point, accumulating terms in the canonical order."""
+        """Evaluate at a point."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.num_vars,):
             raise ValueError(
                 f"point has shape {x.shape}, expected ({self.num_vars},)"
             )
-        if self.is_zero:
-            return 0.0
-        return float(np.prod(x[None, :] ** self._exps, axis=1) @ self._coefs)
+        return float(self.evaluate_many(x[None, :])[0])
 
     def evaluate_many(self, X) -> np.ndarray:
         """Evaluate at many points at once; X has shape (npoints, num_vars)."""
@@ -194,9 +192,7 @@ class Polynomial:
     def evaluate_abs(self, x) -> float:
         """Evaluate with absolute coefficients and |x|; bounds roundoff scale."""
         x = np.abs(np.asarray(x, dtype=float))
-        if self.is_zero:
-            return 0.0
-        return float(np.prod(x[None, :] ** self._exps, axis=1) @ np.abs(self._coefs))
+        return float(evaluate_table(self._exps, np.abs(self._coefs)[:, None], x[None, :])[0, 0])
 
     def derivative(self, var: int) -> "Polynomial":
         if not 0 <= var < self.num_vars:

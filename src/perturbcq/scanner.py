@@ -181,16 +181,6 @@ class SingularSystem:
         )
         return self.linearize_batch(z[None, :])[0][0]
 
-    # --- side conditions ----------------------------------------------------
-
-    def side_margins(self, x, lam, alpha) -> tuple[float, float]:
-        """(min lambda entry, min strict-slack margin over constraints not in L)."""
-        lam = np.asarray(lam, dtype=float)
-        x = np.asarray(x, dtype=float)
-        bounds = np.where(self._outside_perturbed, alpha, 0.0)
-        slack = bounds - values_many(self._g_outside, x[None, :])[0]
-        return float(lam.min()), float(np.min(slack, initial=math.inf))
-
 
 def _levenberg_marquardt(system: SingularSystem, Z0: np.ndarray,
                          max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
@@ -247,39 +237,43 @@ def _random_starts(system: SingularSystem, window, starts: int, rng) -> np.ndarr
     return np.hstack([X, Lam, Kap, Alpha])
 
 
-def _classify(system: SingularSystem, z: np.ndarray, resid: float, window,
-              box_slack: float) -> SingularWitness | None:
-    """Turn one converged vector into a witness, or drop it.
+def _classify(system: SingularSystem, Z: np.ndarray, resids: np.ndarray,
+              window) -> list[SingularWitness]:
+    """Turn a batch of converged vectors into witnesses, in batch order.
 
-    Returns None for residual failures, out-of-window alpha (window is open),
-    points escaping the sample box, or clearly violated side conditions;
-    borderline side conditions yield a witness flagged not-ok."""
-    if resid > RESIDUAL_TOL:
-        return None
+    Drops residual failures, out-of-window alpha (the window is open), points
+    escaping the sample box by more than 1e-6 of its widest side, and clearly
+    violated side conditions; borderline side conditions yield a witness
+    flagged not-ok.  The constraints outside L are evaluated once, at every
+    root that passes the first three rules."""
     n, k, r = system.n, len(system.K), system.r
-    x = z[:n]
-    lam = z[n : n + k]
-    kappa = z[n + k : n + k + r]
-    alpha = float(z[-1])
-    if not (window[0] + WINDOW_EDGE < alpha < window[1] - WINDOW_EDGE):
-        return None
+    X, Alpha = Z[:, :n], Z[:, -1]
     box = system.prob.box_array()
-    if np.any(x < box[:, 0] - box_slack) or np.any(x > box[:, 1] + box_slack):
-        return None
-    lam_min, slack = system.side_margins(x, lam, alpha)
-    if lam_min < -1e-7 or slack < -1e-7:
-        return None
-    ok = lam_min >= LAMBDA_MIN and slack >= SIGMA_SLACK
-    return SingularWitness(
-        alpha=alpha,
-        x=tuple(x),
-        lam=tuple(lam),
-        kappa=tuple(kappa),
-        K=system.K,
-        L=system.L,
-        residual_norm=float(resid),
-        side_conditions_ok=ok,
+    slack = 1e-6 * float(np.max(np.diff(box, axis=1)))
+    escaped = np.any((X < box[:, 0] - slack) | (X > box[:, 1] + slack), axis=1)
+    keep = np.flatnonzero(
+        (resids <= RESIDUAL_TOL)
+        & (window[0] + WINDOW_EDGE < Alpha) & (Alpha < window[1] - WINDOW_EDGE)
+        & ~escaped
     )
+    bounds = np.where(system._outside_perturbed, Alpha[keep, None], 0.0)
+    sigma = np.min(bounds - values_many(system._g_outside, X[keep]), axis=1, initial=math.inf)
+    lam_min = Z[keep, n : n + k].min(axis=1)
+    sound = ~((lam_min < -1e-7) | (sigma < -1e-7))
+    ok = (lam_min >= LAMBDA_MIN) & (sigma >= SIGMA_SLACK)
+    return [
+        SingularWitness(
+            alpha=float(Z[i, -1]),
+            x=tuple(Z[i, :n]),
+            lam=tuple(Z[i, n : n + k]),
+            kappa=tuple(Z[i, n + k : n + k + r]),
+            K=system.K,
+            L=system.L,
+            residual_norm=float(resids[i]),
+            side_conditions_ok=bool(i_ok),
+        )
+        for i, i_ok in zip(keep[sound], ok[sound])
+    ]
 
 
 def solve_system_multistart(
@@ -288,18 +282,10 @@ def solve_system_multistart(
     """Solve one witness system from `starts` random initial points.
 
     Returns the surviving solutions (window-interior, in-box, residual below
-    tolerance); strict side conditions are recorded in side_conditions_ok.
-    An empty list is a valid outcome."""
-    rng = np.random.default_rng(seed)
-    Z0 = _random_starts(system, window, starts, rng)
-    Z, resids = _levenberg_marquardt(system, Z0)
-    span = float(np.max(np.diff(system.prob.box_array(), axis=1)))
-    out = []
-    for z, resid in zip(Z, resids):
-        w = _classify(system, z, float(resid), window, box_slack=1e-6 * span)
-        if w is not None:
-            out.append(w)
-    return out
+    tolerance) in start order; strict side conditions are recorded in
+    side_conditions_ok.  An empty list is a valid outcome."""
+    Z0 = _random_starts(system, window, starts, np.random.default_rng(seed))
+    return _classify(system, *_levenberg_marquardt(system, Z0), window)
 
 
 @dataclass
@@ -375,18 +361,16 @@ def _enumerate_supports(prob: ProblemInstance):
                 index += 2 ** (m - ksize)
 
 
-def _repolish(prob: ProblemInstance, witness: SingularWitness, K, L, window,
-              box_slack: float) -> SingularWitness | None:
+def _repolish(prob: ProblemInstance, witness: SingularWitness, K, L,
+              window) -> SingularWitness | None:
     """Short LM run from `witness` on (K, L); the result if it re-verifies."""
     system = SingularSystem(prob, K, L)
     z0 = np.concatenate([witness.x, witness.lam, witness.kappa, [witness.alpha]])
-    Z, resids = _levenberg_marquardt(system, z0[None, :], max_iter=30)
-    polished = _classify(system, Z[0], float(resids[0]), window, box_slack)
-    return polished if polished is not None and polished.side_conditions_ok else None
+    polished = _classify(system, *_levenberg_marquardt(system, z0[None, :], max_iter=30), window)
+    return polished[0] if polished and polished[0].side_conditions_ok else None
 
 
-def _promote(prob: ProblemInstance, witness: SingularWitness, window,
-             box_slack: float) -> SingularWitness | None:
+def _promote(prob: ProblemInstance, witness: SingularWitness, window) -> SingularWitness | None:
     """Re-polish a borderline witness on (K', L'): K' its indices of weight
     at least LAMBDA_MIN, L' the active set at its point; None if it fails."""
     lam = np.array(witness.lam)
@@ -396,7 +380,7 @@ def _promote(prob: ProblemInstance, witness: SingularWitness, window,
         return None
     L = active_set(prob, PerturbationSpec.diagonal(witness.alpha), np.array(witness.x)).indices
     start = replace(witness, lam=tuple(lam[keep] / lam[keep].sum()))
-    return _repolish(prob, start, K, L, window, box_slack)
+    return _repolish(prob, start, K, L, window)
 
 
 def scan_singular(prob: ProblemInstance, window, starts: int, seed: int) -> ScanReport:
@@ -419,8 +403,6 @@ def scan_singular(prob: ProblemInstance, window, starts: int, seed: int) -> Scan
         raise ValueError("window must be a finite nondegenerate interval")
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    span = float(np.max(np.diff(prob.box_array(), axis=1)))
-    box_slack = 1e-6 * span
 
     accepted: list[SingularWitness] = []
     borderline: list[SingularWitness] = []
@@ -441,13 +423,13 @@ def scan_singular(prob: ProblemInstance, window, starts: int, seed: int) -> Scan
 
     final: list[SingularWitness] = []
     for best, *_ in clusters(accepted):
-        final.append(_repolish(prob, best, best.K, best.L, (lo, hi), box_slack) or best)
+        final.append(_repolish(prob, best, best.K, best.L, (lo, hi)) or best)
     uncertain: list[SingularWitness] = []
     for group in clusters(borderline):
         if any(abs(group[0].alpha - f.alpha) <= DEDUP_TOL for f in final):
             continue  # duplicates a reported level
         for w in group:
-            promoted = _promote(prob, w, (lo, hi), box_slack)
+            promoted = _promote(prob, w, (lo, hi))
             if promoted is not None:
                 final.append(promoted)
                 break

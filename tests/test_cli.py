@@ -133,6 +133,28 @@ def test_mfcq_sweep_all_hold(capsys):
     assert payload["verdicts"]["fails"] == 0
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, code, key",
+    [
+        (["--problem", "cusp", "--alpha", "0.1", "--point=-1,0"], 0, "margin"),
+        (["--problem", "cusp", "--alpha", "0.1", "--point=-1,0", "--method", "hull"], 0,
+         "hull_distance"),
+        (["--problem", "ball_box", "--n", "2", "--a", "0.4,0.2", "--alpha", "2",
+          "--samples", "10"], 2, "worst_margin"),
+    ],
+    ids=["lp-nothing-active", "hull-nothing-active", "infeasible-sweep"],
+)
+def test_json_output_writes_infinite_measures_as_null(argv, code, key, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["mfcq", *argv, "--format", "json", "--out", str(out)]) == code
+    for text in (capsys.readouterr().out, out.read_text()):
+        assert json.loads(text, parse_constant=_reject_constant)[key] is None
+
+
 def test_scan_report_file_round_trips(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

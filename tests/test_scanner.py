@@ -461,6 +461,54 @@ def test_scan_promotion_tries_members_in_residual_order(monkeypatch):
     assert (report.singular_values[0].K, report.singular_values[0].L) == ((0, 1), (0, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "case, window, accepted",
+    [("ball_box3", (9.0, 11.0), True), ("tangent_discs_cut", (-0.5, 0.5), False)],
+    ids=["ball_box3", "tangent_discs_cut"],
+)
+def test_classify_batch_equals_rows_alone(case, window, accepted):
+    # ball_box n=3: accepted roots, and roots at the open edge 11 and at
+    # 8.6 outside the window; the cut x2 <= 0 through the tangency point
+    # leaves every root of K = (0, 1) borderline, at zero slack
+    if case == "ball_box3":
+        prob, K = catalog("ball_box", n=3, a=(0.4, 0.2, -0.3)), (0, 1, 2)
+    else:
+        prob, K = with_cut("tangent_discs", Polynomial.variable(2, 1), (0, 1)), (0, 1)
+    system = SingularSystem(prob, K, K)
+    Z0 = scanner._random_starts(system, window, 60, np.random.default_rng(0))
+    Z, resids = scanner._levenberg_marquardt(system, Z0)
+    batch = scanner._classify(system, Z, resids, window)
+    rows = [
+        w for i in range(len(Z))
+        for w in scanner._classify(system, Z[i : i + 1], resids[i : i + 1], window)
+    ]
+    assert batch == rows
+    assert batch and all(w.side_conditions_ok == accepted for w in batch)
+    if accepted:
+        assert len(batch) < len(Z)
+
+
+def test_scan_evaluates_outside_constraints_once_per_lm_batch(monkeypatch):
+    calls = {"values_many": 0, "batches": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scanner, "values_many", counted("values_many", scanner.values_many))
+    monkeypatch.setattr(scanner, "solve_system_multistart",
+                        counted("batches", scanner.solve_system_multistart))
+    monkeypatch.setattr(scanner, "_repolish", counted("batches", scanner._repolish))
+    prob = catalog("ball_box", n=3, a=(0.4, 0.2, -0.3))
+    report = scan_singular(prob, (0.0, 12.0), starts=300, seed=0)
+    assert len(report.alphas) == 26
+    # 8 multistart runs and 26 re-polishes; classifying root by root made
+    # 2,037 single-point evaluations in this scan
+    assert calls["values_many"] == calls["batches"] == 34
+
+
 def test_scan_keeps_fixed_only_combinations_uncertain():
     # x1^2 <= 0 has a vanishing gradient on its whole zero set, so the square
     # system on K = (0, 1) has a root at every level with no weight on the
