@@ -196,14 +196,14 @@ def _cmd_scan(args) -> int:
         if args.format == "csv":
             report.write_csv(args.out)
         else:
-            _save(report.to_json_dict(), args.out)
+            report.write_json(args.out)
     lines = [
         f"problem: {report.problem}  window: {report.window}  seed: {report.seed}",
         f"singular levels ({len(report.singular_values)}, bound {report.bound}):",
         *[f"  alpha = {w.alpha:.9f}  (K={list(w.K)}, L={list(w.L)})" for w in report.singular_values],
     ]
     if args.format == "json":
-        print(_json(report.to_json_dict()))
+        print(json.dumps(report.to_json_dict(), indent=2))
     else:
         for line in lines:
             print(line)
@@ -264,7 +264,7 @@ def _cmd_homotopy(args) -> int:
         raise DocumentError("an objective is required (--objective or --objective-linear)")
     trace = homotopy_run(prob, f, args.schedule, _esqm_params(args, prob, args.schedule[0]))
     if args.out:
-        _save(trace.to_json_dict(), args.out)
+        trace.write_json(args.out)
     payload = trace.to_json_dict()
     payload["seed"] = args.seed
     lines = [
@@ -272,7 +272,7 @@ def _cmd_homotopy(args) -> int:
         for lvl in trace.levels
     ]
     if args.format == "json":
-        print(_json(payload))
+        print(json.dumps(payload, indent=2))
     else:
         for line in lines:
             print(line)

@@ -155,6 +155,16 @@ def test_json_output_writes_infinite_measures_as_null(argv, code, key, tmp_path,
         assert json.loads(text, parse_constant=_reject_constant)[key] is None
 
 
+def test_catalog_writes_overflowing_coefficient_as_null(tmp_path, capsys):
+    doc = tmp_path / "problem.json"
+    doc.write_text('{"num_vars": 1, "inequalities": [{"terms": [{"coef": 1e999, "exps": [1]}]}]}')
+    out = tmp_path / "out.json"
+    assert main(["catalog", "--file", str(doc), "--out", str(out)]) == 0
+    for text in (capsys.readouterr().out, out.read_text()):
+        parsed = json.loads(text, parse_constant=_reject_constant)
+        assert parsed["inequalities"][0]["terms"][0]["coef"] is None
+
+
 def test_scan_report_file_round_trips(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
