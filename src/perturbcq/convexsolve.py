@@ -4,10 +4,10 @@ also solves the capped-simplex concave QP through a slack coordinate."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "LpProblem",
@@ -61,6 +61,7 @@ class SolveStatus:
     ineq_duals: np.ndarray | None = None
     eq_duals: np.ndarray | None = None
     kkt_residual: float = float("nan")
+    face_solves: int = 0
 
 
 def _check_finite(name, arr, allow_inf=False):
@@ -79,8 +80,11 @@ def solve_lp(lp: LpProblem) -> SolveStatus:
 
     Infeasible/unbounded are statuses, not exceptions.  Duals follow the
     convention c + A' (-lam) stationarity for minimization, i.e. the returned
-    ineq_duals are >= 0 multipliers of the rows A z <= b.
+    ineq_duals are >= 0 multipliers of the rows A z <= b.  SciPy is imported
+    on the first call: no other solver here needs it.
     """
+    from scipy.optimize import linprog
+
     c = _check_finite("c", lp.c)
     A = _check_finite("A", lp.A)
     b = _check_finite("b", lp.b)
@@ -160,46 +164,81 @@ def project_capped_simplex(v, beta: float) -> np.ndarray:
     return project_simplex(v, beta)
 
 
+@functools.cache
+def _face_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (k, k - 1) of {d in R^k : sum(d) = 0}, for k >= 2.
+
+    The Householder reflector H = I - 2 v v' / (v'v), v = e1 - ones/sqrt(k),
+    maps e1 onto ones/sqrt(k); H is symmetric and orthogonal, so its other
+    k - 1 columns span the complement of ones.  Built once per k and cached
+    read-only.
+    """
+    v = np.full(k, -1.0 / np.sqrt(k))
+    v[0] += 1.0
+    Z = np.eye(k)[:, 1:] - 2.0 * np.outer(v, v[1:]) / (v @ v)
+    Z.flags.writeable = False
+    return Z
+
+
 def minimize_simplex_qp(
-    P: np.ndarray, c: np.ndarray, total: float, tol: float = 1e-9, max_iter: int = 10_000
+    P: np.ndarray,
+    c: np.ndarray,
+    total: float,
+    tol: float = 1e-9,
+    max_iter: int = 10_000,
+    x0: np.ndarray | None = None,
 ) -> SolveStatus:
     """Minimize 0.5 x'Px + c'x over {x >= 0, sum(x) = total}, with P symmetric
     positive semidefinite and possibly singular.
 
     Primal active-set method (Nocedal & Wright, Numerical Optimization,
-    ch. 16), started at the best vertex.  The working set holds the
-    coordinates fixed at zero; each iteration minimizes over the face of the
-    free ones, in an orthonormal basis of {sum(d) = 0}.  When the reduced
-    gradient has a component above tol along a zero-curvature direction of
-    the reduced Hessian, the step follows that direction to the boundary;
-    otherwise it is the Newton step on the positive-curvature part.  A step
-    is cut at the first coordinate it drives to zero, which joins the
-    working set.  Only an uncut Newton step lands on the face minimizer, so
-    only then are the multipliers g_i - eta of the fixed coordinates
-    examined (eta is the multiplier of the sum): the most negative one below
-    -tol is released, and when none is, the point is optimal.  Each of the
-    max_iter iterations costs one face solve.
+    ch. 16), started at the feasible point x0 when one is given (its support
+    is the first set of free coordinates; ValueError unless x0 is finite,
+    nonnegative and sums to total to 1e-12 relative) and otherwise at the best
+    vertex.  The working set holds the coordinates fixed at zero; each
+    iteration minimizes over the face of the free ones, in an orthonormal
+    basis of {sum(d) = 0}.  When the reduced gradient has a component above
+    tol along a zero-curvature direction of the reduced Hessian, the step
+    follows that direction to the boundary; otherwise it is the Newton step
+    on the positive-curvature part.  A step is cut at the first coordinate
+    it drives to zero, which joins the working set.  Only an uncut Newton
+    step lands on the face minimizer, so only then are the multipliers
+    g_i - eta of the fixed coordinates examined (eta is the multiplier of the
+    sum): the most negative one below -tol is released, and when none is,
+    the point is optimal.  Each of the max_iter iterations is one face
+    solve; the status reports how many were made.
     """
     P = np.asarray(P, dtype=float)
     c = np.asarray(c, dtype=float)
     n = len(c)
-    x = np.zeros(n)
+    if x0 is not None:
+        x = np.array(x0, dtype=float)
+        if (
+            x.shape != (n,)
+            or not np.isfinite(x).all()
+            or np.any(x < 0)
+            or abs(x.sum() - total) > 1e-12 * total
+        ):
+            raise ValueError("x0 must be finite, nonnegative and sum to total")
+    else:
+        x = np.zeros(n)
     if total == 0:
-        return SolveStatus(status=OPTIMAL, objective=0.0, x=x)
-    j = int(np.argmin(0.5 * total * total * np.diag(P) + total * c))
-    x[j] = total
-    free = np.zeros(n, dtype=bool)
-    free[j] = True
+        return SolveStatus(status=OPTIMAL, objective=0.0, x=np.zeros(n))
+    if x0 is None:
+        x[int(np.argmin(0.5 * total * total * np.diag(P) + total * c))] = total
+    free = x > 0
     # eigenvalues of the reduced Hessian below this are roundoff of zero
     curv_tol = 1e-12 * float(np.max(np.abs(P)))
     status = ITER_LIMIT
-    for _ in range(max_iter):
+    face_solves = 0
+    while face_solves < max_iter:
+        face_solves += 1
         F = np.flatnonzero(free)
         d = np.zeros(n)
         cap, newton = 1.0, True
         if len(F) > 1:
-            Z = np.linalg.qr(np.ones((len(F), 1)), mode="complete")[0][:, 1:]
-            w, V = np.linalg.eigh(Z.T @ P[np.ix_(F, F)] @ Z)
+            Z = _face_basis(len(F))
+            w, V = np.linalg.eigh(Z.T @ P[F][:, F] @ Z)
             r = V.T @ (Z.T @ (P[F] @ x + c[F]))
             flat = (w <= curv_tol) & (np.abs(r) > tol)
             if flat.any():
@@ -230,7 +269,12 @@ def minimize_simplex_qp(
             status = OPTIMAL
             break
         free[i] = True
-    return SolveStatus(status=status, objective=float(0.5 * x @ P @ x + c @ x), x=x)
+    return SolveStatus(
+        status=status,
+        objective=float(0.5 * x @ P @ x + c @ x),
+        x=x,
+        face_solves=face_solves,
+    )
 
 
 def _slack_embedding(Q: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +292,8 @@ def solve_capped_simplex_qp(
     """Exact solve by minimize_simplex_qp on the embedding
     {(mu, slack) >= 0, sum(mu) + slack = beta} with zero cost on the slack.
 
-    tol bounds the multipliers' sign violation and max_iter the face solves.
+    tol bounds the multipliers' sign violation and max_iter the face solves,
+    whose count the status reports.
     The fixed-point residual ||mu - proj(mu + grad)||_inf is the reported
     KKT residual.
     """
@@ -273,4 +318,5 @@ def solve_capped_simplex_qp(
         objective=float(0.5 * mu @ Q @ mu + q @ mu),
         x=mu,
         kkt_residual=float(np.max(np.abs(mu - fixed_point), initial=0.0)),
+        face_solves=st.face_solves,
     )

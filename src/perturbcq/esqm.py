@@ -166,13 +166,26 @@ def _linearize(table, x, bounds):
     return float(row[0]), jac[0], row[1:m] - bounds, jac[1:]
 
 
-def _step(x_k, grad_f, shifted, A, params, beta_k):
-    # Q is symmetric negative semidefinite and beta_k > 0 by construction
+def _warm_start(mu_prev, beta_prev, beta_k):
+    """The previous step's dual point (mu, slack), slack = beta_prev - sum(mu),
+    scaled onto the cap beta_k.  A slack within roundoff of zero (the cap was
+    active) is zero, so scaling keeps the previous support exactly."""
+    mu_prev = np.asarray(mu_prev, dtype=float)
+    slack = beta_prev - mu_prev.sum()
+    if abs(slack) <= 1e-12 * beta_prev:
+        slack = 0.0
+    return np.append(mu_prev, slack) * (beta_k / beta_prev)
+
+
+def _step(x_k, grad_f, shifted, A, params, beta_k, warm):
+    # Q is symmetric negative semidefinite and beta_k > 0 by construction;
+    # warm = (mu_prev, beta_prev) starts the dual QP at the previous solution
     rho = params.curvature_obj + beta_k * params.curvature_con
     Q = -(A @ A.T) / rho
     Q = 0.5 * (Q + Q.T)
     q = shifted - A @ grad_f / rho
-    status = minimize_simplex_qp(*_slack_embedding(Q, q), beta_k, tol=1e-10)
+    x0 = None if warm is None else _warm_start(*warm, beta_k)
+    status = minimize_simplex_qp(*_slack_embedding(Q, q), beta_k, tol=1e-10, x0=x0)
     if status.status != OPTIMAL:
         raise SubproblemError(f"subproblem dual did not solve: {status.status}")
     mu = status.x[: len(q)]
@@ -189,12 +202,17 @@ def _kkt(grad_f, shifted, A, lam) -> float:
 
 
 def esqm_step(
-    prob: ProblemInstance, f: Polynomial, x_k, params: EsqmParams, beta_k: float
+    prob: ProblemInstance, f: Polynomial, x_k, params: EsqmParams, beta_k: float,
+    warm_start=None,
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """One proximal linearized step at penalty beta_k.
 
     Solves the slack-penalized subproblem through its capped-simplex dual and
-    recovers (next point, optimal slack, multipliers).  Raises
+    recovers (next point, optimal slack, multipliers).  The dual QP starts at
+    the best vertex, or, given warm_start = (mu_prev, beta_prev), at the
+    previous step's multipliers scaled onto the new cap, as every step of a
+    run after its first does: step k of a trace is reproduced exactly with
+    warm_start = (trace.multipliers[k], trace.betas[k - 1]).  Raises
     SubproblemError when the dual QP is not solved; a run reports that as the
     termination "subproblem_failed".
     """
@@ -203,9 +221,13 @@ def esqm_step(
     x_k = np.asarray(x_k, dtype=float)
     if not np.isfinite(x_k).all():
         raise ValueError("x_k must be finite")
+    if warm_start is not None and (
+        len(warm_start[0]) != len(prob.inequalities) or not warm_start[1] > 0
+    ):
+        raise ValueError("warm_start must be (one multiplier per inequality, positive beta)")
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
     _, grad_f, shifted, A = _linearize(_stack(prob, f), x_k, bounds)
-    return _step(x_k, grad_f, shifted, A, params, beta_k)
+    return _step(x_k, grad_f, shifted, A, params, beta_k, warm_start)
 
 
 def kkt_residual(prob: ProblemInstance, f: Polynomial, x, lam,
@@ -242,9 +264,10 @@ def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
         return grad_f, shifted, A
 
     lin = record(x, 0.0, beta, np.zeros(len(prob.inequalities)))
+    warm = None  # the first step's dual QP starts cold
     for _ in range(params.max_iter):
         try:
-            y, s, mu = _step(x, *lin, params, beta)
+            y, s, mu = _step(x, *lin, params, beta, warm)
         except SubproblemError:
             trace.termination = "subproblem_failed"
             return trace
@@ -259,6 +282,7 @@ def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
             trace.termination = "converged"
             trace.converged = True
             return trace
+        warm = (mu, beta)
         beta = beta_next
     trace.termination = "max_iter"
     return trace

@@ -1,14 +1,22 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perturbcq
 from perturbcq.convexsolve import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     CappedSimplexQp,
     LpProblem,
+    _face_basis,
+    _slack_embedding,
+    minimize_simplex_qp,
     project_capped_simplex,
     project_simplex,
     solve_capped_simplex_qp,
@@ -257,7 +265,8 @@ CUSP_BOXED_DUALS = [
 ]
 
 
-def test_qp_matches_face_enumeration():
+def face_enumeration_cases():
+    """(Q, q, beta) capped-simplex duals with Q symmetric negative semidefinite."""
     rng = np.random.default_rng(21)
     cases = []
     for _ in range(200):
@@ -274,14 +283,82 @@ def test_qp_matches_face_enumeration():
         cases.append((np.zeros((m, m)), rng.normal(size=m), float(rng.uniform(0.2, 3.0))))
     cases.append((-np.eye(2), np.array([1.0, -1.0]), 0.0))  # only mu = 0 is feasible
     cases += CUSP_BOXED_DUALS
-    for Q, q, beta in cases:
-        Q = 0.5 * (Q + Q.T)
+    return [(0.5 * (Q + Q.T), q, beta) for Q, q, beta in cases]
+
+
+def test_qp_matches_face_enumeration():
+    for Q, q, beta in face_enumeration_cases():
         # a budget of 3 face solves per coordinate (with the slack), not 10_000
         budget = 3 * (len(q) + 1)
         st = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta), max_iter=budget)
         assert st.status == OPTIMAL
+        assert 1 <= st.face_solves <= budget or beta == 0.0
         oracle = qp_face_oracle(Q, q, beta)
         assert abs(st.objective - oracle) <= 1e-9 * (1.0 + abs(oracle))
+
+
+def test_qp_warm_starts_match_face_enumeration():
+    # from a vertex, an interior point and a support that is not the optimal
+    # one, in the slack embedding (mu, slack) with sum = beta
+    rng = np.random.default_rng(22)
+    for Q, q, beta in face_enumeration_cases():
+        m = len(q)
+        budget = 3 * (m + 1)
+        P, c = _slack_embedding(Q, q)
+        oracle = qp_face_oracle(Q, q, beta)
+        cold = minimize_simplex_qp(P, c, beta, max_iter=budget)
+        vertex = np.zeros(m + 1)
+        vertex[rng.integers(m + 1)] = beta
+        interior = rng.dirichlet(np.ones(m + 1)) * beta
+        wrong = np.zeros(m + 1)
+        while (wrong > 0).tolist() in ([False] * (m + 1), (cold.x > 0).tolist()):
+            wrong = np.where(rng.random(m + 1) < 0.5, rng.dirichlet(np.ones(m + 1)), 0.0)
+        wrong *= beta / wrong.sum()
+        for x0 in (vertex, interior, wrong):
+            st = minimize_simplex_qp(P, c, beta, max_iter=budget, x0=x0)
+            assert st.status == OPTIMAL
+            mu = st.x[:m]
+            assert np.all(st.x >= 0) and abs(st.x.sum() - beta) <= 1e-12 * (1.0 + beta)
+            objective = float(0.5 * mu @ Q @ mu + q @ mu)
+            assert abs(objective - oracle) <= 1e-9 * (1.0 + abs(oracle))
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [
+        [0.5, 0.5, -0.0001, 0.0001],  # negative entry
+        [0.5, 0.5, 0.0, 0.1],  # sums to 1.1
+        [0.5, 0.5, 0.0],  # wrong length
+        [np.nan, 0.5, 0.5, 0.0],
+        [np.inf, 0.5, 0.5, 0.0],
+    ],
+)
+def test_qp_rejects_infeasible_or_nonfinite_start(x0):
+    P, c = _slack_embedding(-np.eye(3), np.ones(3))
+    with pytest.raises(ValueError, match="x0"):
+        minimize_simplex_qp(P, c, 1.0, x0=np.array(x0))
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_face_basis_is_cached_orthonormal_complement_of_ones(k):
+    Z = _face_basis(k)
+    assert Z.shape == (k, k - 1)
+    assert np.abs(Z.T @ Z - np.eye(k - 1)).max() <= 1e-15 * k
+    assert np.abs(np.ones(k) @ Z).max() <= 1e-15 * k
+    assert _face_basis(k) is Z
+    with pytest.raises(ValueError):
+        Z[0, 0] = 1.0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # SciPy is imported on the first LP; no scan, sweep or homotopy needs it
+    src = str(Path(perturbcq.__file__).resolve().parents[1])
+    code = "import sys, perturbcq; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_qp_handles_singular_curvature():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perturbcq import esqm
-from perturbcq.convexsolve import ITER_LIMIT, SolveStatus
+from perturbcq.convexsolve import ITER_LIMIT, SolveStatus, minimize_simplex_qp
 from perturbcq.esqm import (
     EsqmParams,
     SubproblemError,
@@ -317,6 +317,22 @@ def test_step_and_kkt_reject_nonfinite_point(x):
         kkt_residual(prob, f, x, (0.0, 0.0, 0.0), PerturbationSpec.diagonal(0.1))
 
 
+@pytest.mark.parametrize(
+    "warm",
+    [
+        ((1.0, 1.0), 5.0),  # one multiplier short
+        ((1.0, 1.0, 0.0), 0.0),  # nonpositive beta
+        ((1.0, -1.0, 0.0), 5.0),  # negative multiplier
+        ((3.0, 3.0, 0.0), 5.0),  # multipliers above the cap
+        ((math.nan, 1.0, 0.0), 5.0),
+    ],
+)
+def test_step_rejects_malformed_warm_start(warm):
+    prob, f, template = cusp_boxed_template()
+    with pytest.raises(ValueError):
+        esqm_step(prob, f, (0.5, 0.0), template, beta_k=6.0, warm_start=warm)
+
+
 def test_trace_exports(tmp_path):
     prob, f, params = ball_box_setup()
     trace = run_esqm(prob, f, (-0.5, -0.5), params)
@@ -424,7 +440,9 @@ def test_trace_replays_through_public_step_and_residual():
         assert trace.objectives[k] == f.evaluate(np.array(x))
         assert trace.infeasibilities[k] == feasibility_residual(prob, pert, x)[0]
         if k + 1 < len(trace.xs):
-            y, s, mu = esqm_step(prob, f, x, params, trace.betas[k])
+            # the run starts every dual QP after its first from the previous one
+            warm = (trace.multipliers[k], trace.betas[k - 1]) if k else None
+            y, s, mu = esqm_step(prob, f, x, params, trace.betas[k], warm_start=warm)
             assert tuple(y) == trace.xs[k + 1]
             assert s == trace.slacks[k + 1]
             assert tuple(mu) == trace.multipliers[k + 1]
@@ -465,6 +483,24 @@ def test_homotopy_steps_skip_the_dual_validation(monkeypatch):
     assert all(lvl.status == "converged" for lvl in trace.levels)
     assert calls["eigvalsh"] == 0
     assert calls["minimize_simplex_qp"] == sum(len(lvl.trace.xs) - 1 for lvl in trace.levels)
+
+
+def test_homotopy_dual_qp_costs_about_one_face_solve_per_step(monkeypatch):
+    # every step after a run's first starts its dual QP at the previous
+    # solution scaled onto the new cap, which keeps the optimal support
+    prob, f, template = cusp_boxed_template()
+    solved = []
+
+    def recording(*args, **kwargs):
+        status = minimize_simplex_qp(*args, **kwargs)
+        solved.append(status.face_solves)
+        return status
+
+    monkeypatch.setattr(esqm, "minimize_simplex_qp", recording)
+    trace = homotopy_run(prob, f, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], template)
+    assert all(lvl.status == "converged" for lvl in trace.levels)
+    assert len(solved) == sum(len(lvl.trace.xs) - 1 for lvl in trace.levels) > 1000
+    assert sum(solved) <= 1.1 * len(solved)
 
 
 def benchmark_schedule(seed):
