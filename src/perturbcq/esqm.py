@@ -21,7 +21,7 @@ import numpy as np
 
 from .convexsolve import OPTIMAL, _slack_embedding, minimize_simplex_qp
 from .model import PerturbationSpec, ProblemInstance
-from .poly import Polynomial, evaluate_table, gradient_family, hessians_many, monomial_table
+from .poly import Family, Polynomial
 
 __all__ = [
     "EsqmParams",
@@ -143,27 +143,18 @@ def estimate_lipschitz(
         corners = np.array(list(itertools.product(*box)), dtype=float)
         pts = np.vstack([pts, corners])
 
-    def curvature(polys) -> list[float]:
-        eigs = np.linalg.eigvalsh(hessians_many(polys, pts))  # (S, m, n)
-        return [1.5 * float(w) for w in np.max(np.abs(eigs), axis=(0, 2), initial=0.0)]
-
-    L_obj = curvature([prob.objective])[0] if prob.objective is not None else 0.0
-    return L_obj, curvature(prob.inequalities)
-
-
-def _stack(prob, f):
-    """The values and gradients of [f, *g] stacked in one monomial table."""
-    polys = [f, *prob.inequalities]
-    return monomial_table([*polys, *gradient_family(polys)], prob.num_vars)
+    objective = [] if prob.objective is None else [prob.objective]
+    hess = Family([*objective, *prob.inequalities], prob.num_vars, 2)(pts)[2]
+    eigs = np.linalg.eigvalsh(hess)  # (S, m, n)
+    curv = [1.5 * float(w) for w in np.max(np.abs(eigs), axis=(0, 2), initial=0.0)]
+    return (curv.pop(0) if objective else 0.0), curv
 
 
-def _linearize(table, x, bounds):
+def _linearize(family, x, bounds):
     """(f(x), grad f(x), g(x) - bounds, Jacobian of g at x) from one
-    evaluation of the table of _stack at the point x."""
-    m = len(bounds) + 1
-    row = evaluate_table(*table, x[None, :])[0]
-    jac = row[m:].reshape(m, len(x))
-    return float(row[0]), jac[0], row[1:m] - bounds, jac[1:]
+    evaluation of the order-1 family [f, *g] at the point x."""
+    values, grads, _ = family(x[None, :])
+    return float(values[0, 0]), grads[0, 0], values[0, 1:] - bounds, grads[0, 1:]
 
 
 def _warm_start(mu_prev, beta_prev, beta_k):
@@ -226,7 +217,8 @@ def esqm_step(
     ):
         raise ValueError("warm_start must be (one multiplier per inequality, positive beta)")
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
-    _, grad_f, shifted, A = _linearize(_stack(prob, f), x_k, bounds)
+    family = Family([f, *prob.inequalities], prob.num_vars, 1)
+    _, grad_f, shifted, A = _linearize(family, x_k, bounds)
     return _step(x_k, grad_f, shifted, A, params, beta_k, warm_start)
 
 
@@ -240,20 +232,21 @@ def kkt_residual(prob: ProblemInstance, f: Polynomial, x, lam,
         raise ValueError("x must be finite")
     if np.any(lam < 0):
         raise ValueError("multipliers must be nonnegative")
-    _, grad_f, shifted, A = _linearize(_stack(prob, f), x, pert.bounds(prob))
+    family = Family([f, *prob.inequalities], prob.num_vars, 1)
+    _, grad_f, shifted, A = _linearize(family, x, pert.bounds(prob))
     return _kkt(grad_f, shifted, A, lam)
 
 
 def _single_run(prob, f, x0, params: EsqmParams) -> EsqmTrace:
     bounds = PerturbationSpec.diagonal(params.alpha).bounds(prob)
-    table = _stack(prob, f)
+    family = Family([f, *prob.inequalities], prob.num_vars, 1)
     x = np.asarray(x0, dtype=float)
     beta = params.beta0
     trace = EsqmTrace(beta0_used=params.beta0)
 
     def record(x_, s_, beta_, mu_):
         """Append the iterate and return its linearization for the next step."""
-        obj, grad_f, shifted, A = _linearize(table, x_, bounds)
+        obj, grad_f, shifted, A = _linearize(family, x_, bounds)
         trace.xs.append(tuple(x_))
         trace.slacks.append(float(s_))
         trace.betas.append(float(beta_))

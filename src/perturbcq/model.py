@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, univariate_real_roots, values_many
+from .poly import ROOT_COLLAPSE, Family, Polynomial, univariate_real_roots
 
 __all__ = [
     "PerturbationSpec",
@@ -153,23 +153,44 @@ class ProblemInstance:
         return doc
 
 
-def _shifted_values(prob: ProblemInstance, pert: PerturbationSpec, x):
-    """(g_i(x) - bound_i for every inequality, max |equality residual|)."""
+def _check_point(prob: ProblemInstance, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (prob.num_vars,):
         raise ValueError(f"point has shape {x.shape}, expected ({prob.num_vars},)")
     if not np.isfinite(x).all():
         raise ValueError("point has a non-finite coordinate")
-    shifted = values_many(prob.inequalities, x[None, :])[0] - pert.bounds(prob)
-    eq = np.abs(values_many(prob.equalities, x[None, :])[0])
-    return shifted, float(np.max(eq, initial=0.0))
+    return x
+
+
+def _constraints(prob: ProblemInstance, order: int = 0) -> Family:
+    """The family [*g, *h] of a problem's constraints."""
+    return Family([*prob.inequalities, *prob.equalities], prob.num_vars, order)
+
+
+def _split(prob: ProblemInstance, pert: PerturbationSpec, values):
+    """(g_i(x) - bound_i for every inequality, max |equality residual|) from
+    the values of _constraints(prob) at one point x."""
+    m = len(prob.inequalities)
+    return values[:m] - pert.bounds(prob), float(np.max(np.abs(values[m:]), initial=0.0))
+
+
+def _active(prob: ProblemInstance, pert: PerturbationSpec, values, tau_act: float) -> ActiveSet:
+    """active_set from the values of _constraints(prob) at the point."""
+    shifted, eq = _split(prob, pert, values)
+    violation = max(float(np.max(shifted, initial=0.0)), eq)
+    if violation > tau_act:
+        raise ValueError(
+            f"point is infeasible (violation {violation:.3e} > tau_act {tau_act:.1e})"
+        )
+    idx = tuple(int(i) for i in np.flatnonzero(-shifted <= tau_act))
+    return ActiveSet(indices=idx, tolerance=tau_act)
 
 
 def feasibility_residual(
     prob: ProblemInstance, pert: PerturbationSpec, x
 ) -> tuple[float, float]:
     """(max inequality violation clamped at 0, max |equality residual|)."""
-    shifted, eq = _shifted_values(prob, pert, x)
+    shifted, eq = _split(prob, pert, _constraints(prob)(_check_point(prob, x)[None, :])[0][0])
     return float(np.max(shifted, initial=0.0)), eq
 
 
@@ -180,14 +201,7 @@ def active_set(
     tau_act: float = DEFAULT_ACTIVE_TOL,
 ) -> ActiveSet:
     """Indices i with bound_i - g_i(x) <= tau_act; x must be feasible to tau_act."""
-    shifted, eq = _shifted_values(prob, pert, x)
-    violation = max(float(np.max(shifted, initial=0.0)), eq)
-    if violation > tau_act:
-        raise ValueError(
-            f"point is infeasible (violation {violation:.3e} > tau_act {tau_act:.1e})"
-        )
-    idx = tuple(int(i) for i in np.flatnonzero(-shifted <= tau_act))
-    return ActiveSet(indices=idx, tolerance=tau_act)
+    return _active(prob, pert, _constraints(prob)(_check_point(prob, x)[None, :])[0][0], tau_act)
 
 
 # ---------------------------------------------------------------------------
@@ -358,41 +372,33 @@ def univariate_feasible_intervals(
         raise ValueError("degenerate window")
 
     b = pert.bounds(prob)
-    breakpoints = {lo, hi}
+    roots = []
     for g, bi in zip(prob.inequalities, b):
         shifted = g - float(bi)
-        if shifted.is_zero:
-            continue
-        if shifted.degree == 0:
-            continue  # constant sign, classified by midpoint tests
-        breakpoints.update(univariate_real_roots(shifted, lo, hi))
-    pts = sorted(breakpoints)
+        if shifted.degree > 0:  # a constant is classified by the midpoint tests
+            roots += univariate_real_roots(shifted, lo, hi)
+    # roots of different constraints within the collapse width are one
+    # breakpoint, and so are roots at the window's edges
+    pts = [lo]
+    for t in sorted(roots):
+        width = ROOT_COLLAPSE * max(1.0, abs(t))
+        if t - pts[-1] > width and hi - t > width:
+            pts.append(t)
+    pts.append(hi)
 
-    def violation(t: float) -> float:
-        return float(np.max(values_many(prob.inequalities, [[t]])[0] - b))
+    family = Family(prob.inequalities, 1)
 
-    seg_ok = [
-        violation(0.5 * (a + c)) <= 0.0 for a, c in zip(pts, pts[1:])
-    ]
+    def violation(ts) -> np.ndarray:
+        return np.max(family(np.array(ts)[:, None])[0] - b, axis=1)
 
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < len(seg_ok):
-        if seg_ok[i]:
-            j = i
-            while j + 1 < len(seg_ok) and seg_ok[j + 1]:
-                j += 1
-            intervals.append((pts[i], pts[j + 1]))
-            i = j + 1
-        i += 1
-
-    isolated = []
-    for k, t in enumerate(pts):
-        left_ok = k > 0 and seg_ok[k - 1]
-        right_ok = k < len(seg_ok) and seg_ok[k]
-        if not left_ok and not right_ok and violation(t) <= boundary_tol:
-            isolated.append(t)
-
+    # ok[k] and ok[k + 1]: whether the open segments left and right of pts[k]
+    # are feasible (nothing lies beyond the window)
+    mids = [0.5 * (a + c) for a, c in zip(pts, pts[1:])]
+    ok = np.concatenate([[False], violation(mids) <= 0.0, [False]])
+    left, right = ok[:-1], ok[1:]
+    starts, ends = np.flatnonzero(~left & right), np.flatnonzero(left & ~right)
+    intervals = [(pts[i], pts[j]) for i, j in zip(starts, ends)]
+    isolated = [pts[k] for k in np.flatnonzero(~left & ~right & (violation(pts) <= boundary_tol))]
     return FeasibleSet1D(intervals=tuple(intervals), points=tuple(isolated))
 
 

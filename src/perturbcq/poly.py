@@ -10,13 +10,8 @@ import numpy as np
 __all__ = [
     "Monomial",
     "Polynomial",
-    "monomial_table",
+    "Family",
     "evaluate_table",
-    "gradient_family",
-    "hessian_family",
-    "values_many",
-    "jacobians_many",
-    "hessians_many",
     "univariate_real_roots",
 ]
 
@@ -230,13 +225,13 @@ class Polynomial:
 
 
 # batch evaluation: the one way the package evaluates constraints and their
-# derivatives.  A family of polynomials is stacked into one monomial table and
-# evaluated by one kernel.  X has shape (S, num_vars); single points pass
-# x[None, :].
+# derivatives.  A Family stacks its polynomials, and up to its order their
+# partial derivatives, into one monomial table; one kernel call evaluates
+# them all.  X has shape (S, num_vars); single points pass x[None, :].
 
 
-def monomial_table(polys, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a family into exponent rows E (T, num_vars), each polynomial's
+def _monomial_table(polys, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack polynomials into exponent rows E (T, num_vars), each polynomial's
     own terms in turn, and coefficients C (T, len(polys)) holding polynomial
     j's coefficients in column j.  A monomial shared by several polynomials
     keeps one row per polynomial: merging them costs more than it saves."""
@@ -254,9 +249,9 @@ def monomial_table(polys, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_table(E, C, X) -> np.ndarray:
-    """Values (S, C.shape[1]) of the family stacked as (E, C) at the points
-    X (S, n): column j is sum_t C[t, j] prod_i X[:, i] ** E[t, i].  The
-    powers are built by repeated products, once per call."""
+    """Values (S, C.shape[1]) of the polynomials stacked as (E, C) at the
+    points X (S, n): column j is sum_t C[t, j] prod_i X[:, i] ** E[t, i].
+    The powers are built by repeated products, once per call."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != E.shape[1]:
         raise ValueError(f"expected shape (n, {E.shape[1]}), got {X.shape}")
@@ -272,46 +267,49 @@ def evaluate_table(E, C, X) -> np.ndarray:
     return monomials.T @ C
 
 
-def gradient_family(polys) -> list[Polynomial]:
-    """The partial derivatives of each polynomial in turn (cached partials)."""
-    return [d for p in polys for d in p.gradient()]
+class Family:
+    """m polynomials in num_vars variables evaluated together: their values
+    and, up to ``order`` (0, 1 or 2), their gradients and Hessians.
+
+    Everything is stacked into one monomial table at construction, so
+    ``family(X)`` is one ``evaluate_table`` call.  Second partials are
+    stacked once per unordered pair (cached partials, upper triangle) and
+    the table's coefficient columns repeat them in both mirror positions.
+    """
+
+    def __init__(self, polys, num_vars: int, order: int = 0):
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
+        polys = list(polys)
+        m, n = len(polys), num_vars
+        self.size, self.num_vars, self.order = m, n, order
+        stacked = polys
+        if order >= 1:
+            stacked = stacked + [d for p in polys for d in p.gradient()]
+        if order == 2:
+            rows, cols = np.triu_indices(n)
+            stacked = stacked + [p.hessian()[a][b] for p in polys for a, b in zip(rows, cols)]
+        self._E, C = _monomial_table(stacked, n)
+        if order == 2:
+            # the Hessian block repeats the column of each stacked second
+            # partial (i, a, b), a <= b, at both (i, a, b) and (i, b, a)
+            upper = np.empty((n, n), dtype=np.int64)
+            upper[rows, cols] = upper[cols, rows] = np.arange(len(rows))
+            mirrored = m + m * n + (np.arange(m)[:, None] * len(rows) + upper.ravel()).ravel()
+            C = np.hstack([C[:, : m + m * n], C[:, mirrored]])
+        self._C = C
+
+    def __call__(self, X):
+        """(values (S, m), gradients (S, m, n) or None, Hessians (S, m, n, n)
+        or None) at the points X (S, num_vars)."""
+        out = evaluate_table(self._E, self._C, X)
+        S, m, n = len(out), self.size, self.num_vars
+        grads = out[:, m : m + m * n].reshape(S, m, n) if self.order >= 1 else None
+        hess = out[:, m + m * n :].reshape(S, m, n, n) if self.order == 2 else None
+        return out[:, :m], grads, hess
 
 
-def hessian_family(polys, num_vars: int) -> list[Polynomial]:
-    """The upper-triangle second partials of each polynomial in turn, in
-    ``np.triu_indices(num_vars)`` order."""
-    rows, cols = np.triu_indices(num_vars)
-    out = []
-    for p in polys:
-        hess = p.hessian()
-        out += [hess[a][b] for a, b in zip(rows, cols)]
-    return out
-
-
-def values_many(polys, X) -> np.ndarray:
-    """Values of each polynomial at each point, shape (S, m)."""
-    X = np.asarray(X, dtype=float)
-    return evaluate_table(*monomial_table(polys, X.shape[-1]), X)
-
-
-def jacobians_many(polys, X) -> np.ndarray:
-    """Gradients of each polynomial at each point, shape (S, m, n)."""
-    X = np.asarray(X, dtype=float)
-    S, n = X.shape
-    return values_many(gradient_family(polys), X).reshape(S, len(polys), n)
-
-
-def hessians_many(polys, X) -> np.ndarray:
-    """Hessians of each polynomial at each point, shape (S, m, n, n); the
-    upper triangle is evaluated and mirrored."""
-    X = np.asarray(X, dtype=float)
-    S, n = X.shape
-    rows, cols = np.triu_indices(n)
-    upper = values_many(hessian_family(polys, n), X).reshape(S, len(polys), len(rows))
-    out = np.empty((S, len(polys), n, n))
-    out[:, :, rows, cols] = upper
-    out[:, :, cols, rows] = upper
-    return out
+ROOT_COLLAPSE = 1e-8  # roots closer than this times max(1, |t|) are one root
 
 
 def _coeffs_ascending(p: Polynomial) -> np.ndarray:
@@ -329,8 +327,8 @@ def univariate_real_roots(
 
     Isolation splits [lo, hi] at the (recursively computed) critical points,
     so the polynomial is monotone on each piece; sign changes are then
-    bisected and Newton-polished.  Roots at critical points (even
-    multiplicity) are caught by a conditioning-aware zero test.
+    bisected and Newton-polished.  Roots at critical points (multiple
+    roots) are caught by a conditioning-aware zero test.
     """
     if p.num_vars != 1:
         raise ValueError("univariate_real_roots requires a 1-variable polynomial")
@@ -344,24 +342,23 @@ def univariate_real_roots(
     dp = p.derivative(0)
 
     def is_root(t: float) -> bool:
+        # well above the evaluation's roundoff (a few eps times scale); a looser
+        # test takes the critical point between two close simple roots for one
         scale = p.evaluate_abs(np.array([t])) + 1.0
-        return abs(p.evaluate(np.array([t]))) <= 1e-11 * scale
+        return abs(p.evaluate(np.array([t]))) <= 1e-13 * scale
 
     def polish(t: float, a: float, b: float) -> float:
         for _ in range(30):
             ft = p.evaluate(np.array([t]))
+            if abs(ft) <= residual_tol:
+                break
             dt = dp.evaluate(np.array([t]))
             if dt == 0.0:
                 break
-            step = ft / dt
-            t_new = t - step
-            if not (a - 1e-9 <= t_new <= b + 1e-9):
-                break
-            if t_new == t:
+            t_new = t - ft / dt
+            if not (a - 1e-9 <= t_new <= b + 1e-9) or t_new == t:
                 break
             t = t_new
-            if abs(ft) <= residual_tol:
-                break
         return t
 
     if p.degree == 1:
@@ -372,14 +369,16 @@ def univariate_real_roots(
     crits = univariate_real_roots(dp, lo, hi, residual_tol)
     breakpoints = sorted({lo, hi, *crits})
 
-    roots: list[float] = []
-    for t in breakpoints:
-        if is_root(t):
-            roots.append(polish(t, lo, hi))
-    for a, b in zip(breakpoints, breakpoints[1:]):
+    # a root at a critical point is multiple, where a Newton step is
+    # roundoff over roundoff: it is kept as the breakpoint found
+    on_root = [is_root(t) for t in breakpoints]
+    roots = [t for t, hit in zip(breakpoints, on_root) if hit]
+    for k, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])):
+        if on_root[k] or on_root[k + 1]:
+            continue  # p is monotone here: its one root is that endpoint
         fa = p.evaluate(np.array([a]))
         fb = p.evaluate(np.array([b]))
-        if fa == 0.0 or fb == 0.0 or np.sign(fa) == np.sign(fb):
+        if np.sign(fa) == np.sign(fb):
             continue
         x0, x1 = a, b
         for _ in range(120):
@@ -399,6 +398,6 @@ def univariate_real_roots(
     roots.sort()
     collapsed: list[float] = []
     for t in roots:
-        if not collapsed or abs(t - collapsed[-1]) > 1e-8 * max(1.0, abs(t)):
+        if not collapsed or abs(t - collapsed[-1]) > ROOT_COLLAPSE * max(1.0, abs(t)):
             collapsed.append(t)
     return [t for t in collapsed if lo - 1e-9 <= t <= hi + 1e-9]

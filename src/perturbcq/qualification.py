@@ -16,10 +16,12 @@ from .model import (
     ActiveSet,
     PerturbationSpec,
     ProblemInstance,
-    active_set,
+    _active,
+    _check_point,
+    _constraints,
     feasibility_residual,
 )
-from .poly import jacobians_many, values_many
+from .poly import Family
 
 __all__ = [
     "MfcqCertificate",
@@ -89,18 +91,18 @@ def _full_rank(H: np.ndarray) -> bool:
 def equality_gradients_independent(prob: ProblemInstance, x) -> bool:
     """Numerical full-rank test of the equality gradient matrix at x."""
     x = np.asarray(x, dtype=float)
-    return _full_rank(jacobians_many(prob.equalities, x[None, :])[0])
+    return _full_rank(Family(prob.equalities, prob.num_vars, 1)(x[None, :])[1][0])
 
 
-def _prepare(prob, pert, x):
+def _prepare(prob, pert, x, family: Family):
     """x, its active set, the active gradients G, the equality Jacobian H,
-    and whether H has full row rank, from one gradient evaluation."""
-    x = np.asarray(x, dtype=float)
-    act = active_set(prob, pert, x)  # raises on infeasible x
-    active = [prob.inequalities[i] for i in act.indices]
-    J = jacobians_many([*active, *prob.equalities], x[None, :])[0]
-    k = len(active)
-    return x, act, J[:k], J[k:], _full_rank(J[k:])
+    and whether H has full row rank, from one evaluation of the order-1
+    family _constraints(prob, 1) at x."""
+    x = _check_point(prob, x)
+    values, grads, _ = family(x[None, :])
+    act = _active(prob, pert, values[0], DEFAULT_ACTIVE_TOL)  # raises on infeasible x
+    H = grads[0, len(prob.inequalities) :]
+    return x, act, grads[0, list(act.indices)], H, _full_rank(H)
 
 
 def _fit_kappa(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -123,7 +125,12 @@ def check_mfcq_lp(prob: ProblemInstance, pert: PerturbationSpec, x) -> MfcqCerti
     the point is a certified failure; a tiny eps* without a clean dual
     witness, or an LP that does not solve, is reported degenerate.
     """
-    x, act, G, H, independent = _prepare(prob, pert, x)
+    return _lp_certificate(prob, pert, x, _constraints(prob, 1))
+
+
+def _lp_certificate(prob, pert, x, family: Family) -> MfcqCertificate:
+    """check_mfcq_lp at x with the order-1 family _constraints(prob, 1)."""
+    x, act, G, H, independent = _prepare(prob, pert, x, family)
     if not independent:
         return MfcqCertificate(
             verdict=FAILS, active=act, reason="equality gradients linearly dependent"
@@ -178,7 +185,7 @@ def check_mfcq_hull(prob: ProblemInstance, pert: PerturbationSpec, x) -> MfcqCer
     minimized distance is <= tol, Degenerate inside (tol, DEGENERATE_BAND*tol],
     Holds beyond, and Degenerate when the distance QP does not converge.
     """
-    x, act, G, H, independent = _prepare(prob, pert, x)
+    x, act, G, H, independent = _prepare(prob, pert, x, _constraints(prob, 1))
     if not independent:
         return MfcqCertificate(
             verdict=FAILS, active=act, reason="equality gradients linearly dependent"
@@ -261,20 +268,19 @@ class SweepResult:
         return counts[FAILS] == 0 and counts[DEGENERATE] == 0 and bool(self.rows)
 
 
-def _max_violation(prob, b, P) -> np.ndarray:
-    """max_i g_i(p) - b_i at each row p of P."""
-    return np.max(values_many(prob.inequalities, P) - b, axis=1)
+def _max_violation(values: Family, b, P) -> np.ndarray:
+    """max_i g_i(p) - b_i at each row p of P; values is the family of g."""
+    return np.max(values(P)[0] - b, axis=1)
 
 
-def _find_interior_point(prob, pert, rng) -> np.ndarray | None:
+def _find_interior_point(prob, values: Family, b, rng) -> np.ndarray | None:
     box = prob.box_array()
-    b = pert.bounds(prob)
     best, best_val = None, 0.0
     batch = 512
     done = 0
     while done < INTERIOR_ATTEMPTS:
         pts = rng.uniform(box[:, 0], box[:, 1], size=(batch, prob.num_vars))
-        vals = _max_violation(prob, b, pts)
+        vals = _max_violation(values, b, pts)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best, best_val = pts[i], float(vals[i])
@@ -306,8 +312,10 @@ def sweep_mfcq(
     rng = np.random.default_rng(config.seed)
     b = pert.bounds(prob)
     box = prob.box_array()
+    values = Family(prob.inequalities, prob.num_vars)
+    certify = _constraints(prob, 1)
 
-    x0 = _find_interior_point(prob, pert, rng)
+    x0 = _find_interior_point(prob, values, b, rng)
     if x0 is None:
         return SweepResult(status="infeasible")
 
@@ -329,7 +337,7 @@ def sweep_mfcq(
                 break
             pts = x0 + t[:, None] * dirs
             inbox = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)
-            infeasible = _max_violation(prob, b, pts) > 0
+            infeasible = _max_violation(values, b, pts) > 0
             hit = alive & inbox & infeasible
             t_hi[hit] = t[hit]
             alive &= inbox & ~infeasible  # rays exiting the box are dropped
@@ -339,7 +347,7 @@ def sweep_mfcq(
         t_lo, t_hi, dirs = t_lo[keep], t_hi[keep], dirs[keep]
         for _ in range(BISECT_ITERS):
             mid = 0.5 * (t_lo + t_hi)
-            bad = _max_violation(prob, b, x0 + mid[:, None] * dirs) > 0
+            bad = _max_violation(values, b, x0 + mid[:, None] * dirs) > 0
             t_hi = np.where(bad, mid, t_hi)
             t_lo = np.where(bad, t_lo, mid)
         points.extend((x0 + t_lo[:, None] * dirs)[: config.samples - len(points)])
@@ -351,7 +359,7 @@ def sweep_mfcq(
             continue  # an infeasible probe is dropped; its sample id stays unused
         labelled.append((config.samples + j, pt))
     rows = [
-        SweepRow(sample_id=i, x=tuple(pt), certificate=check_mfcq_lp(prob, pert, pt))
+        SweepRow(sample_id=i, x=tuple(pt), certificate=_lp_certificate(prob, pert, pt, certify))
         for i, pt in labelled
     ]
     return SweepResult(status="ok", rows=rows)

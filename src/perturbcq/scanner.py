@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import PerturbationSpec, ProblemInstance, active_set
-from .poly import evaluate_table, gradient_family, hessian_family, monomial_table, values_many
+from .poly import Family
 
 __all__ = [
     "SingularSystem",
@@ -102,12 +102,11 @@ class SingularSystem:
       [n]               sum lam_i - 1
       [n+1, n+1+|L|)    g_j(x) - alpha for perturbable j in L, g_j(x) otherwise
       trailing r rows   h_j(x)
-    Since K is a subset of L, the values and gradients of [g_L, h] give every
-    residual row and every first-derivative entry; the stationarity rows read
-    the gradients of g_K and h out of them by index.  Those values and
-    gradients, with the Hessian upper triangles of [g_K, h], are stacked into
-    one monomial table at construction, so a batch of unknown vectors is
-    linearized by one evaluation.
+    Since K is a subset of L, one order-2 family of [g_L, h] gives every
+    residual row and every derivative, so a batch of unknown vectors is
+    linearized by one evaluation; the stationarity rows pick the gradients
+    and Hessians of [g_K, h] out of it by index (all of it, as a view, when
+    K = L as in the scan).
     """
 
     def __init__(self, prob: ProblemInstance, K, L):
@@ -133,17 +132,12 @@ class SingularSystem:
         self.num_unknowns = n + len(K) + r + 1
         self.num_rows = n + 1 + len(L) + r
         self._L_perturbed = np.array([j in pert for j in L], dtype=bool)
-        # rows n+1 onward are the values of [g_L, h]; the stationarity rows
-        # combine the gradients of [g_K, h] with weights (lam, -kappa)
-        active = [prob.inequalities[j] for j in L] + list(prob.equalities)
-        stationary = [prob.inequalities[i] for i in K] + list(prob.equalities)
-        self._stationary_rows = [L.index(i) for i in K] + list(range(len(L), len(L) + r))
-        self._upper = np.triu_indices(n)
-        self._table = monomial_table(
-            active + gradient_family(active) + hessian_family(stationary, n), n
+        self._family = Family([*(prob.inequalities[j] for j in L), *prob.equalities], n, 2)
+        self._stationary_rows = (
+            slice(None) if K == L else [L.index(i) for i in K] + list(range(len(L), len(L) + r))
         )
         outside = [j for j in range(m) if j not in L]
-        self._g_outside = [prob.inequalities[j] for j in outside]
+        self._outside = Family([prob.inequalities[j] for j in outside], n)
         self._outside_perturbed = np.array([j in pert for j in outside], dtype=bool)
 
     def linearize_batch(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,23 +145,17 @@ class SingularSystem:
         at a batch of unknown vectors Z (S, num_unknowns)."""
         n, k, r, L = self.n, len(self.K), self.r, len(self.L)
         S = Z.shape[0]
-        X, Lam, Kap, Alpha = Z[:, :n], Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
+        Lam, Kap, Alpha = Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
         weights = np.hstack([Lam, -Kap])
-        table = evaluate_table(*self._table, X)
-        a = L + r
-        grads = table[:, a : a + a * n].reshape(S, a, n)
-        rows, cols = self._upper
-        upper = table[:, a + a * n :].reshape(S, k + r, len(rows))
+        values, grads, hess = self._family(Z[:, :n])
         stationary = grads[:, self._stationary_rows]
         F = np.empty((S, self.num_rows))
         F[:, :n] = np.einsum("sk,skn->sn", weights, stationary)
         F[:, n] = Lam.sum(axis=1) - 1.0
-        F[:, n + 1 :] = table[:, :a]
+        F[:, n + 1 :] = values
         F[:, n + 1 : n + 1 + L] -= np.where(self._L_perturbed, Alpha[:, None], 0.0)
         J = np.zeros((S, self.num_rows, self.num_unknowns))
-        hess = np.einsum("sk,skt->st", weights, upper)
-        J[:, rows, cols] = hess
-        J[:, cols, rows] = hess
+        J[:, :n, :n] = np.einsum("sk,skij->sij", weights, hess[:, self._stationary_rows])
         J[:, :n, n : n + k] = np.swapaxes(stationary[:, :k], 1, 2)
         J[:, :n, n + k : -1] = -np.swapaxes(stationary[:, k:], 1, 2)
         J[:, n, n : n + k] = 1.0
@@ -257,7 +245,7 @@ def _classify(system: SingularSystem, Z: np.ndarray, resids: np.ndarray,
         & ~escaped
     )
     bounds = np.where(system._outside_perturbed, Alpha[keep, None], 0.0)
-    sigma = np.min(bounds - values_many(system._g_outside, X[keep]), axis=1, initial=math.inf)
+    sigma = np.min(bounds - system._outside(X[keep])[0], axis=1, initial=math.inf)
     lam_min = Z[keep, n : n + k].min(axis=1)
     sound = ~((lam_min < -1e-7) | (sigma < -1e-7))
     ok = (lam_min >= LAMBDA_MIN) & (sigma >= SIGMA_SLACK)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from perturbcq import esqm
+from perturbcq import esqm, poly
 from perturbcq.convexsolve import ITER_LIMIT, SolveStatus, minimize_simplex_qp
 from perturbcq.esqm import (
     EsqmParams,
@@ -456,17 +456,18 @@ def counting(calls, name, func):
 
 
 def test_run_linearizes_each_iterate_once(monkeypatch):
-    calls = {"evaluate_table": 0, "monomial_table": 0, "evaluate": 0}
+    calls = {"evaluate_table": 0, "Family": 0, "evaluate": 0}
     prob, f, template = cusp_boxed_template()
-    for name in ("evaluate_table", "monomial_table"):
-        monkeypatch.setattr(f"perturbcq.esqm.{name}", counting(calls, name, getattr(esqm, name)))
+    kernel = counting(calls, "evaluate_table", poly.evaluate_table)
+    monkeypatch.setattr(poly, "evaluate_table", kernel)
+    monkeypatch.setattr(esqm, "Family", counting(calls, "Family", esqm.Family))
     monkeypatch.setattr(Polynomial, "evaluate", counting(calls, "evaluate", Polynomial.evaluate))
     trace = homotopy_run(prob, f, [1e-1, 1e-2, 1e-3], template)
     assert all(lvl.status == "converged" and lvl.trace.retries == 0 for lvl in trace.levels)
     iterates = sum(len(lvl.trace.xs) for lvl in trace.levels)
     runs = sum(1 + lvl.trace.retries for lvl in trace.levels)
-    assert calls["evaluate_table"] <= iterates
-    assert calls["monomial_table"] <= runs
+    assert calls["evaluate_table"] == iterates
+    assert calls["Family"] == runs
     assert calls["evaluate"] == 0
 
 

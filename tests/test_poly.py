@@ -4,14 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturbcq.poly import (
+    Family,
     Monomial,
     Polynomial,
-    evaluate_table,
-    hessians_many,
-    jacobians_many,
-    monomial_table,
     univariate_real_roots,
-    values_many,
 )
 
 
@@ -163,7 +159,8 @@ def _assert_close(got, ref, scale):
 def test_batch_evaluators_match_fresh_derivatives(case):
     polys, X = case
     S, n = X.shape
-    vals, jac, hess = values_many(polys, X), jacobians_many(polys, X), hessians_many(polys, X)
+    vals, jac, hess = Family(polys, n, 2)(X)
+    assert Family(polys, n)(X)[1:] == (None, None)
     assert vals.shape == (S, len(polys))
     assert jac.shape == (S, len(polys), n)
     assert hess.shape == (S, len(polys), n, n)
@@ -190,25 +187,27 @@ def test_derivatives_built_once_per_polynomial():
 
 
 def test_batch_evaluators_of_no_polynomials():
-    X = np.zeros((4, 3))
-    assert values_many([], X).shape == (4, 0)
-    assert jacobians_many([], X).shape == (4, 0, 3)
-    assert hessians_many([], X).shape == (4, 0, 3, 3)
+    vals, jac, hess = Family([], 3, 2)(np.zeros((4, 3)))
+    assert vals.shape == (4, 0)
+    assert jac.shape == (4, 0, 3)
+    assert hess.shape == (4, 0, 3, 3)
 
 
 def test_monomial_table_keeps_each_polynomial_in_its_column():
     p = x(2, 0) ** 2 + x(2, 1)
     q = 3.0 * x(2, 0) ** 2
-    E, C = monomial_table([p, Polynomial.zero(2), q], 2)
+    family = Family([p, Polynomial.zero(2), q], 2)
     # the monomial x0^2 shared by p and q keeps one row per polynomial
-    assert E.tolist() == [[2, 0], [0, 1], [2, 0]]
-    assert C.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
+    assert family._E.tolist() == [[2, 0], [0, 1], [2, 0]]
+    assert family._C.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]
     X = np.array([[0.5, -2.0], [3.0, 1.0]])
-    assert evaluate_table(E, C, X).tolist() == [[-1.75, 0.0, 0.75], [10.0, 0.0, 27.0]]
+    assert family(X)[0].tolist() == [[-1.75, 0.0, 0.75], [10.0, 0.0, 27.0]]
     with pytest.raises(ValueError, match="expected 2"):
-        monomial_table([p, x(3, 0)], 2)
+        Family([p, x(3, 0)], 2)
     with pytest.raises(ValueError, match="expected shape"):
-        evaluate_table(E, C, np.zeros((2, 3)))
+        family(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="order"):
+        Family([p], 2, order=3)
 
 
 def test_arithmetic_identities():
@@ -265,6 +264,28 @@ def test_roots_planted_integer_roots():
             p = p * (t - float(root))
         found = univariate_real_roots(p, -5, 5)
         assert found == pytest.approx([float(v) for v in planted], abs=1e-10)
+
+
+def test_roots_with_a_double_root_are_each_found_once():
+    # seeded draws: degree 3-7, roots uniform on [-2, 2], the first doubled;
+    # stepping from an accepted root, or bisecting next to a double root,
+    # gave a spurious or repeated root in most of these draws
+    rng = np.random.default_rng(0)
+    t = x(1, 0)
+    for _ in range(200):
+        roots = rng.uniform(-2.0, 2.0, size=int(rng.integers(3, 8)) - 1)
+        p = t - float(roots[0])
+        for r in roots:
+            p = p * (t - float(r))
+        found = univariate_real_roots(p, -3.0, 3.0)
+        assert found == pytest.approx(sorted(roots), abs=1e-9)
+
+
+def test_roots_of_a_close_pair_are_both_found():
+    # p is -1.6e-11 at the critical point between 1 and 1.000005: not a root
+    t = x(1, 0)
+    p = (t - 1.0) * (t - 1.000005) * (t + 1.5)
+    assert univariate_real_roots(p, -5, 5) == pytest.approx([-1.5, 1.0, 1.000005], abs=1e-9)
 
 
 def test_roots_reject_bad_input():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from perturbcq import qualification
+from perturbcq import poly
 from perturbcq.convexsolve import ITER_LIMIT, OPTIMAL, LpProblem, SolveStatus, solve_lp
 from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
 from perturbcq.poly import Polynomial
@@ -122,16 +122,16 @@ def test_certificates_evaluate_equality_jacobian_once(second, monkeypatch):
         inequalities=(x1 + x2 + x3, x1 - x2, -x1 + 0.1 * x3),
         equalities=(x3 - x1 * x2, h2),
     )
-    evaluated = []
-    real = qualification.jacobians_many
+    calls = []
+    real = poly.evaluate_table
 
-    def counting(polys, X):
-        evaluated.extend(p for p in polys if any(p is h for h in prob.equalities))
-        return real(polys, X)
+    def counting(E, C, X):
+        calls.append(C.shape[1])
+        return real(E, C, X)
 
-    monkeypatch.setattr(qualification, "jacobians_many", counting)
+    monkeypatch.setattr(poly, "evaluate_table", counting)
     for check in (check_mfcq_lp, check_mfcq_hull):
-        evaluated.clear()
+        calls.clear()
         cert = check(prob, diag(0.0), (0.0, 0.0, 0.0))
         # independent: projected onto the complement of span{grad h}, the
         # active gradients are (1,0,0), (1,0,0), (-1,0,0), and zero is in
@@ -140,7 +140,8 @@ def test_certificates_evaluate_equality_jacobian_once(second, monkeypatch):
         assert cert.active.indices == (0, 1, 2)
         if second == "dependent":
             assert cert.reason == "equality gradients linearly dependent"
-        assert len(evaluated) == len(prob.equalities)  # each gradient once
+        # one evaluation: the values and gradients of the 3 + 2 constraints
+        assert calls == [5 + 5 * 3]
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +418,27 @@ def test_sweep_propagates_certificate_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("point is not feasible")
 
-    monkeypatch.setattr("perturbcq.qualification.check_mfcq_lp", broken)
+    monkeypatch.setattr("perturbcq.qualification._lp_certificate", broken)
     with pytest.raises(ValueError, match="point is not feasible"):
         sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=20, seed=0))
+
+
+def test_sweep_builds_its_tables_once(monkeypatch):
+    builds = []
+    real = poly._monomial_table
+
+    def counting(polys, num_vars):
+        builds.append(len(polys))
+        return real(polys, num_vars)
+
+    monkeypatch.setattr(poly, "_monomial_table", counting)
+    for samples in (20, 200):
+        builds.clear()
+        res = sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=samples, seed=0))
+        assert len(res.rows) == samples
+        # the values of g for the rays, and the values and gradients of g
+        # for the certificates: one table each, whatever the sample count
+        assert builds == [2, 2 + 2 * 2]
 
 
 def test_sweep_cusp_probe_point_fails():

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from perturbcq import scanner
+from perturbcq import poly, scanner
 from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
-from perturbcq.poly import Polynomial, jacobians_many, values_many
+from perturbcq.poly import Polynomial
 from perturbcq.qualification import FAILS, DEGENERATE, check_mfcq_hull, sweep_mfcq, SweepConfig
 from perturbcq.scanner import (
     ScanReport,
@@ -177,14 +177,22 @@ def test_linearization_matches_finite_differences(prob, K, L):
     # the residual rows, rebuilt constraint by constraint
     X, Lam, Kap, alpha = Z[:, :n], Z[:, n : n + k], Z[:, n + k : n + k + r], Z[:, -1]
     g, h = prob.inequalities, prob.equalities
-    stationary = np.einsum("sk,skn->sn", Lam, jacobians_many([g[i] for i in K], X))
-    stationary -= np.einsum("sk,skn->sn", Kap, jacobians_many(h, X))
+
+    def values(polys):  # (S, len(polys))
+        return np.reshape([p.evaluate_many(X) for p in polys], (-1, S)).T
+
+    def gradients(polys):  # (S, len(polys), n)
+        grads = [[d.evaluate_many(X) for d in p.gradient()] for p in polys]
+        return np.reshape(grads, (-1, n, S)).transpose(2, 0, 1)
+
+    stationary = np.einsum("sk,skn->sn", Lam, gradients([g[i] for i in K]))
+    stationary -= np.einsum("sk,skn->sn", Kap, gradients(h))
     shift = np.array([j in prob.perturbable for j in L]) * alpha[:, None]
     expected = np.hstack([
         stationary,
         Lam.sum(axis=1, keepdims=True) - 1.0,
-        values_many([g[j] for j in L], X) - shift,
-        values_many(h, X),
+        values([g[j] for j in L]) - shift,
+        values(h),
     ])
     assert np.allclose(F, expected, rtol=1e-12, atol=1e-12)
     step = 1e-5
@@ -203,7 +211,7 @@ def test_linearization_matches_finite_differences(prob, K, L):
 
 def test_lm_linearizes_each_iterate_once(monkeypatch):
     calls = {"kernel": 0, "linearize": 0}
-    kernel = scanner.evaluate_table
+    kernel = poly.evaluate_table
     linearize = SingularSystem.linearize_batch
 
     def counted_kernel(*args):
@@ -214,16 +222,17 @@ def test_lm_linearizes_each_iterate_once(monkeypatch):
         calls["linearize"] += 1
         return linearize(self, Z)
 
-    monkeypatch.setattr(scanner, "evaluate_table", counted_kernel)
+    monkeypatch.setattr(poly, "evaluate_table", counted_kernel)
     monkeypatch.setattr(SingularSystem, "linearize_batch", counted_linearize)
     prob = catalog("ball_box", n=2, a=(0.4, 0.2))
     sys = SingularSystem(prob, K=(0, 1, 2), L=(0, 1, 2))
     sols = solve_system_multistart(sys, (0.0, 8.0), starts=50, seed=3)
     assert sols
     # one linearization at the starts plus at most one per LM iteration, each
-    # one evaluation of the system's stacked monomial table
+    # one evaluation of the system's family, and one evaluation of the
+    # constraints outside L when the roots are classified
     assert 2 <= calls["linearize"] <= 101
-    assert calls["kernel"] == calls["linearize"]
+    assert calls["kernel"] == calls["linearize"] + 1
 
 
 def test_lm_linearizes_only_live_starts(monkeypatch):
@@ -489,7 +498,7 @@ def test_classify_batch_equals_rows_alone(case, window, accepted):
 
 
 def test_scan_evaluates_outside_constraints_once_per_lm_batch(monkeypatch):
-    calls = {"values_many": 0, "batches": 0}
+    calls = {"outside": 0, "batches": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -497,7 +506,12 @@ def test_scan_evaluates_outside_constraints_once_per_lm_batch(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(scanner, "values_many", counted("values_many", scanner.values_many))
+    class CountedFamily(scanner.Family):
+        def __call__(self, X):
+            calls["outside"] += self.order == 0  # the constraints outside L
+            return super().__call__(X)
+
+    monkeypatch.setattr(scanner, "Family", CountedFamily)
     monkeypatch.setattr(scanner, "solve_system_multistart",
                         counted("batches", scanner.solve_system_multistart))
     monkeypatch.setattr(scanner, "_repolish", counted("batches", scanner._repolish))
@@ -506,7 +520,7 @@ def test_scan_evaluates_outside_constraints_once_per_lm_batch(monkeypatch):
     assert len(report.alphas) == 26
     # 8 multistart runs and 26 re-polishes; classifying root by root made
     # 2,037 single-point evaluations in this scan
-    assert calls["values_many"] == calls["batches"] == 34
+    assert calls["outside"] == calls["batches"] == 34
 
 
 def test_scan_keeps_fixed_only_combinations_uncertain():
