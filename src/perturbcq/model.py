@@ -163,20 +163,26 @@ def _check_point(prob: ProblemInstance, x) -> np.ndarray:
 
 
 def _constraints(prob: ProblemInstance, order: int = 0) -> Family:
-    """The family [*g, *h] of a problem's constraints."""
+    """The family [*g, *h] of a problem's constraints, read by _at."""
     return Family([*prob.inequalities, *prob.equalities], prob.num_vars, order)
 
 
-def _split(prob: ProblemInstance, pert: PerturbationSpec, values):
-    """(g_i(x) - bound_i for every inequality, max |equality residual|) from
-    the values of _constraints(prob) at one point x."""
+def _at(prob: ProblemInstance, pert: PerturbationSpec, family: Family, x):
+    """From one evaluation of family = _constraints(prob, order) at a point x
+    checked by _check_point: (g_i(x) - bound_i for every inequality,
+    max |equality residual|, the inequality gradients (m, n), the equality
+    gradients (r, n)); the gradients are None at order 0."""
+    values, grads, _ = family(x[None, :])
     m = len(prob.inequalities)
-    return values[:m] - pert.bounds(prob), float(np.max(np.abs(values[m:]), initial=0.0))
+    shifted = values[0, :m] - pert.bounds(prob)
+    eq = float(np.max(np.abs(values[0, m:]), initial=0.0))
+    if grads is None:
+        return shifted, eq, None, None
+    return shifted, eq, grads[0, :m], grads[0, m:]
 
 
-def _active(prob: ProblemInstance, pert: PerturbationSpec, values, tau_act: float) -> ActiveSet:
-    """active_set from the values of _constraints(prob) at the point."""
-    shifted, eq = _split(prob, pert, values)
+def _active(shifted, eq: float, tau_act: float) -> ActiveSet:
+    """active_set from the first two values of _at at the point."""
     violation = max(float(np.max(shifted, initial=0.0)), eq)
     if violation > tau_act:
         raise ValueError(
@@ -190,7 +196,7 @@ def feasibility_residual(
     prob: ProblemInstance, pert: PerturbationSpec, x
 ) -> tuple[float, float]:
     """(max inequality violation clamped at 0, max |equality residual|)."""
-    shifted, eq = _split(prob, pert, _constraints(prob)(_check_point(prob, x)[None, :])[0][0])
+    shifted, eq, _, _ = _at(prob, pert, _constraints(prob), _check_point(prob, x))
     return float(np.max(shifted, initial=0.0)), eq
 
 
@@ -201,7 +207,8 @@ def active_set(
     tau_act: float = DEFAULT_ACTIVE_TOL,
 ) -> ActiveSet:
     """Indices i with bound_i - g_i(x) <= tau_act; x must be feasible to tau_act."""
-    return _active(prob, pert, _constraints(prob)(_check_point(prob, x)[None, :])[0][0], tau_act)
+    shifted, eq, _, _ = _at(prob, pert, _constraints(prob), _check_point(prob, x))
+    return _active(shifted, eq, tau_act)
 
 
 # ---------------------------------------------------------------------------

@@ -341,12 +341,6 @@ def univariate_real_roots(
 
     dp = p.derivative(0)
 
-    def is_root(t: float) -> bool:
-        # well above the evaluation's roundoff (a few eps times scale); a looser
-        # test takes the critical point between two close simple roots for one
-        scale = p.evaluate_abs(np.array([t])) + 1.0
-        return abs(p.evaluate(np.array([t]))) <= 1e-13 * scale
-
     def polish(t: float, a: float, b: float) -> float:
         for _ in range(30):
             ft = p.evaluate(np.array([t]))
@@ -369,17 +363,21 @@ def univariate_real_roots(
     crits = univariate_real_roots(dp, lo, hi, residual_tol)
     breakpoints = sorted({lo, hi, *crits})
 
-    # a root at a critical point is multiple, where a Newton step is
-    # roundoff over roundoff: it is kept as the breakpoint found
-    on_root = [is_root(t) for t in breakpoints]
-    roots = [t for t, hit in zip(breakpoints, on_root) if hit]
-    for k, (a, b) in enumerate(zip(breakpoints, breakpoints[1:])):
-        if on_root[k] or on_root[k + 1]:
-            continue  # p is monotone here: its one root is that endpoint
-        fa = p.evaluate(np.array([a]))
-        fb = p.evaluate(np.array([b]))
-        if np.sign(fa) == np.sign(fb):
-            continue
+    # a critical point where p is roundoff is a multiple root: a Newton step
+    # there is roundoff over roundoff, so it is kept as found and the pieces
+    # next to it (p is monotone on each) hold no other root.  A small value
+    # above roundoff may be the extremum between two close simple roots, so
+    # the pieces next to it are bisected, and it is a (near-double) root only
+    # if neither of them changes sign.
+    f = p.evaluate_many(np.array(breakpoints)[:, None])
+    scale = np.array([p.evaluate_abs(np.array([t])) for t in breakpoints])
+    exact = np.abs(f) <= 4.0 * np.finfo(float).eps * p.degree * scale
+    near = np.abs(f) <= 1e-11 * (scale + 1.0)
+    change = (np.sign(f[:-1]) * np.sign(f[1:]) < 0.0) & ~exact[:-1] & ~exact[1:]
+    bracketed = np.concatenate([[False], change]) | np.concatenate([change, [False]])
+    roots = [t for t, hit in zip(breakpoints, exact | (near & ~bracketed)) if hit]
+    for k in np.flatnonzero(change):
+        a, b, fa = breakpoints[k], breakpoints[k + 1], f[k]
         x0, x1 = a, b
         for _ in range(120):
             mid = 0.5 * (x0 + x1)

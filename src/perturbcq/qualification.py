@@ -17,9 +17,9 @@ from .model import (
     PerturbationSpec,
     ProblemInstance,
     _active,
+    _at,
     _check_point,
     _constraints,
-    feasibility_residual,
 )
 from .poly import Family
 
@@ -99,10 +99,9 @@ def _prepare(prob, pert, x, family: Family):
     and whether H has full row rank, from one evaluation of the order-1
     family _constraints(prob, 1) at x."""
     x = _check_point(prob, x)
-    values, grads, _ = family(x[None, :])
-    act = _active(prob, pert, values[0], DEFAULT_ACTIVE_TOL)  # raises on infeasible x
-    H = grads[0, len(prob.inequalities) :]
-    return x, act, grads[0, list(act.indices)], H, _full_rank(H)
+    shifted, eq, G_all, H = _at(prob, pert, family, x)
+    act = _active(shifted, eq, DEFAULT_ACTIVE_TOL)  # raises on infeasible x
+    return x, act, G_all[list(act.indices)], H, _full_rank(H)
 
 
 def _fit_kappa(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -354,8 +353,8 @@ def sweep_mfcq(
 
     labelled = list(enumerate(points))
     for j, pt in enumerate(config.extra_points):
-        pt = np.asarray(pt, dtype=float)
-        if max(feasibility_residual(prob, pert, pt)) > DEFAULT_ACTIVE_TOL:
+        pt = _check_point(prob, pt)
+        if _max_violation(values, b, pt[None, :])[0] > DEFAULT_ACTIVE_TOL:
             continue  # an infeasible probe is dropped; its sample id stays unused
         labelled.append((config.samples + j, pt))
     rows = [

@@ -105,8 +105,7 @@ class SingularSystem:
     Since K is a subset of L, one order-2 family of [g_L, h] gives every
     residual row and every derivative, so a batch of unknown vectors is
     linearized by one evaluation; the stationarity rows pick the gradients
-    and Hessians of [g_K, h] out of it by index (all of it, as a view, when
-    K = L as in the scan).
+    and Hessians of [g_K, h] out of it by index.
     """
 
     def __init__(self, prob: ProblemInstance, K, L):
@@ -133,9 +132,7 @@ class SingularSystem:
         self.num_rows = n + 1 + len(L) + r
         self._L_perturbed = np.array([j in pert for j in L], dtype=bool)
         self._family = Family([*(prob.inequalities[j] for j in L), *prob.equalities], n, 2)
-        self._stationary_rows = (
-            slice(None) if K == L else [L.index(i) for i in K] + list(range(len(L), len(L) + r))
-        )
+        self._stationary_rows = [L.index(i) for i in K] + list(range(len(L), len(L) + r))
         outside = [j for j in range(m) if j not in L]
         self._outside = Family([prob.inequalities[j] for j in outside], n)
         self._outside_perturbed = np.array([j in pert for j in outside], dtype=bool)

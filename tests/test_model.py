@@ -217,6 +217,19 @@ def test_intervals_wide_perturbation_single_interval():
     assert fs.intervals[0][1] == pytest.approx(-1.0 + math.sqrt(5.0), abs=1e-9)
 
 
+def test_intervals_of_two_close_roots():
+    # (t - 1)(t - 1 - d) is -d^2/4 = -6.25e-14 at its minimum: small, yet
+    # well above roundoff, so the feasible set is an interval, not a point
+    d = 5e-7
+    t = Polynomial.variable(1, 0)
+    prob = ProblemInstance(
+        num_vars=1, inequalities=((t - 1.0) * (t - 1.0 - d),), sample_box=((-5.0, 5.0),)
+    )
+    fs = univariate_feasible_intervals(prob, diag(0.0), (-5, 5))
+    assert not fs.points and len(fs.intervals) == 1
+    assert fs.intervals[0] == pytest.approx((1.0, 1.0 + d), abs=1e-9)
+
+
 def test_intervals_reject_degenerate_window():
     prob = catalog("interval_pair")
     with pytest.raises(ValueError):

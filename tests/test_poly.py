@@ -282,10 +282,13 @@ def test_roots_with_a_double_root_are_each_found_once():
 
 
 def test_roots_of_a_close_pair_are_both_found():
-    # p is -1.6e-11 at the critical point between 1 and 1.000005: not a root
+    # p is -1.6e-11 and -6.25e-14 at the critical point between the close
+    # roots: small, but above roundoff, so that point is not a root
     t = x(1, 0)
     p = (t - 1.0) * (t - 1.000005) * (t + 1.5)
     assert univariate_real_roots(p, -5, 5) == pytest.approx([-1.5, 1.0, 1.000005], abs=1e-9)
+    p = (t - 1.0) * (t - 1.0000005)
+    assert univariate_real_roots(p, -5, 5) == pytest.approx([1.0, 1.0000005], abs=1e-9)
 
 
 def test_roots_reject_bad_input():

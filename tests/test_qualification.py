@@ -432,13 +432,17 @@ def test_sweep_builds_its_tables_once(monkeypatch):
         return real(polys, num_vars)
 
     monkeypatch.setattr(poly, "_monomial_table", counting)
+    probes = ((0.0, 0.0), (1.0, 1.0), (-1.0, 0.0))  # the middle one is infeasible
     for samples in (20, 200):
-        builds.clear()
-        res = sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=samples, seed=0))
-        assert len(res.rows) == samples
-        # the values of g for the rays, and the values and gradients of g
-        # for the certificates: one table each, whatever the sample count
-        assert builds == [2, 2 + 2 * 2]
+        for extra_points in ((), probes):
+            builds.clear()
+            config = SweepConfig(samples=samples, seed=0, extra_points=extra_points)
+            res = sweep_mfcq(catalog("cusp"), diag(0.1), config)
+            assert len(res.rows) == samples + 2 * bool(extra_points)
+            # the values of g for the rays and probes, and the values and
+            # gradients of g for the certificates: one table each, whatever
+            # the sample and probe counts
+            assert builds == [2, 2 + 2 * 2]
 
 
 def test_sweep_cusp_probe_point_fails():
