@@ -4,6 +4,7 @@ of built-in example problems, and parsing of JSON problem documents."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,18 @@ class ProblemInstance:
             if any(a > b for a, b in box):
                 raise ValueError("sample_box intervals must satisfy lo <= hi")
             object.__setattr__(self, "sample_box", box)
+        # the constraint families by order, built on first use by _family;
+        # not a field, so equality, hashing, replace and documents ignore it
+        object.__setattr__(self, "_families", {})
+
+    def _family(self, order: int) -> Family:
+        """The constraints [*g, *h] as one Family of order 0 or 1, built
+        once per problem and kept."""
+        family = self._families.get(order)
+        if family is None:
+            family = Family([*self.inequalities, *self.equalities], self.num_vars, order)
+            self._families[order] = family
+        return family
 
     @property
     def fixed(self) -> tuple[int, ...]:
@@ -162,23 +175,23 @@ def _check_point(prob: ProblemInstance, x) -> np.ndarray:
     return x
 
 
-def _constraints(prob: ProblemInstance, order: int = 0) -> Family:
-    """The family [*g, *h] of a problem's constraints, read by _at."""
-    return Family([*prob.inequalities, *prob.equalities], prob.num_vars, order)
-
-
-def _at(prob: ProblemInstance, pert: PerturbationSpec, family: Family, x):
-    """From one evaluation of family = _constraints(prob, order) at a point x
-    checked by _check_point: (g_i(x) - bound_i for every inequality,
+def _at(prob: ProblemInstance, pert: PerturbationSpec, x, order: int = 0):
+    """From one evaluation of the problem's order-`order` family at the
+    point x, checked here: (g_i(x) - bound_i for every inequality,
     max |equality residual|, the inequality gradients (m, n), the equality
     gradients (r, n)); the gradients are None at order 0."""
-    values, grads, _ = family(x[None, :])
+    values, grads, _ = prob._family(order)(_check_point(prob, x)[None, :])
     m = len(prob.inequalities)
     shifted = values[0, :m] - pert.bounds(prob)
     eq = float(np.max(np.abs(values[0, m:]), initial=0.0))
     if grads is None:
         return shifted, eq, None, None
     return shifted, eq, grads[0, :m], grads[0, m:]
+
+
+def _max_violation(prob: ProblemInstance, b, P) -> np.ndarray:
+    """max_i g_i(p) - b_i at each row p of P."""
+    return np.max(prob._family(0)(P)[0][:, : len(b)] - b, axis=1)
 
 
 def _active(shifted, eq: float, tau_act: float) -> ActiveSet:
@@ -196,7 +209,7 @@ def feasibility_residual(
     prob: ProblemInstance, pert: PerturbationSpec, x
 ) -> tuple[float, float]:
     """(max inequality violation clamped at 0, max |equality residual|)."""
-    shifted, eq, _, _ = _at(prob, pert, _constraints(prob), _check_point(prob, x))
+    shifted, eq, _, _ = _at(prob, pert, x)
     return float(np.max(shifted, initial=0.0)), eq
 
 
@@ -207,7 +220,7 @@ def active_set(
     tau_act: float = DEFAULT_ACTIVE_TOL,
 ) -> ActiveSet:
     """Indices i with bound_i - g_i(x) <= tau_act; x must be feasible to tau_act."""
-    shifted, eq, _, _ = _at(prob, pert, _constraints(prob), _check_point(prob, x))
+    shifted, eq, _, _ = _at(prob, pert, x)
     return _active(shifted, eq, tau_act)
 
 
@@ -393,10 +406,8 @@ def univariate_feasible_intervals(
             pts.append(t)
     pts.append(hi)
 
-    family = Family(prob.inequalities, 1)
-
     def violation(ts) -> np.ndarray:
-        return np.max(family(np.array(ts)[:, None])[0] - b, axis=1)
+        return _max_violation(prob, b, np.array(ts)[:, None])
 
     # ok[k] and ok[k + 1]: whether the open segments left and right of pts[k]
     # are feasible (nothing lies beyond the window)
@@ -423,6 +434,18 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise DocumentError(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer (true and false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether a JSON value is a number within the float range (NaN,
+    Infinity, a literal such as 1e400 that reads as inf, true and false
+    are not)."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def _parse_poly(data, num_vars: int, path: str) -> Polynomial:
     _expect(isinstance(data, dict), path, "expected an object with a 'terms' list")
     _expect("terms" in data, path, "missing 'terms'")
@@ -436,7 +459,7 @@ def _parse_poly(data, num_vars: int, path: str) -> Polynomial:
         _expect("exps" in term, tpath, "missing 'exps'")
         coef = term["coef"]
         exps = term["exps"]
-        _expect(isinstance(coef, (int, float)), f"{tpath}.coef", "expected a number")
+        _expect(_is_finite(coef), f"{tpath}.coef", "expected a finite number")
         _expect(isinstance(exps, list), f"{tpath}.exps", "expected a list of integers")
         _expect(
             len(exps) == num_vars,
@@ -445,7 +468,7 @@ def _parse_poly(data, num_vars: int, path: str) -> Polynomial:
         )
         for e_idx, e in enumerate(exps):
             _expect(
-                isinstance(e, int) and e >= 0,
+                _is_int(e) and e >= 0,
                 f"{tpath}.exps[{e_idx}]",
                 "expected a nonnegative integer",
             )
@@ -474,7 +497,7 @@ def parse_problem(source: str) -> ProblemInstance:
     _expect(isinstance(doc, dict), "$", "expected a JSON object")
     _expect("num_vars" in doc, "$.num_vars", "missing")
     n = doc["num_vars"]
-    _expect(isinstance(n, int) and n >= 1, "$.num_vars", "expected a positive integer")
+    _expect(_is_int(n) and n >= 1, "$.num_vars", "expected a positive integer")
     _expect("inequalities" in doc, "$.inequalities", "missing")
     ineq_docs = doc["inequalities"]
     _expect(
@@ -500,7 +523,7 @@ def parse_problem(source: str) -> ProblemInstance:
         m = len(inequalities)
         for i_idx, i in enumerate(raw):
             _expect(
-                isinstance(i, int) and 1 <= i <= m,
+                _is_int(i) and 1 <= i <= m,
                 f"$.perturbable[{i_idx}]",
                 f"index {i!r} out of range 1..{m}",
             )
@@ -518,10 +541,10 @@ def parse_problem(source: str) -> ProblemInstance:
             _expect(
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)
+                and all(_is_finite(v) for v in pair)
                 and pair[0] <= pair[1],
                 f"$.sample_box[{b_idx}]",
-                "expected [lo, hi] with lo <= hi",
+                "expected [lo, hi] of finite numbers with lo <= hi",
             )
         sample_box = tuple((float(a), float(b)) for a, b in raw)
 

@@ -19,9 +19,8 @@ from .model import (
     _active,
     _at,
     _check_point,
-    _constraints,
+    _max_violation,
 )
-from .poly import Family
 
 __all__ = [
     "MfcqCertificate",
@@ -65,8 +64,6 @@ class MfcqCertificate:
     kappa: tuple[float, ...] | None = None
     hull_distance: float | None = None
     reason: str = ""
-    margin_tol: float = DEFAULT_MARGIN_TOL
-    cert_tol: float = DEFAULT_CERT_TOL
 
     @property
     def measure(self) -> float:
@@ -90,18 +87,16 @@ def _full_rank(H: np.ndarray) -> bool:
 
 def equality_gradients_independent(prob: ProblemInstance, x) -> bool:
     """Numerical full-rank test of the equality gradient matrix at x."""
-    x = np.asarray(x, dtype=float)
-    return _full_rank(Family(prob.equalities, prob.num_vars, 1)(x[None, :])[1][0])
+    return _full_rank(_at(prob, PerturbationSpec.diagonal(0.0), x, 1)[3])
 
 
-def _prepare(prob, pert, x, family: Family):
-    """x, its active set, the active gradients G, the equality Jacobian H,
-    and whether H has full row rank, from one evaluation of the order-1
-    family _constraints(prob, 1) at x."""
-    x = _check_point(prob, x)
-    shifted, eq, G_all, H = _at(prob, pert, family, x)
+def _prepare(prob, pert, x):
+    """The active set at x, the active gradients G, the equality Jacobian H,
+    and whether H has full row rank, from one evaluation of the problem's
+    order-1 family at x."""
+    shifted, eq, G_all, H = _at(prob, pert, x, 1)
     act = _active(shifted, eq, DEFAULT_ACTIVE_TOL)  # raises on infeasible x
-    return x, act, G_all[list(act.indices)], H, _full_rank(H)
+    return act, G_all[list(act.indices)], H, _full_rank(H)
 
 
 def _fit_kappa(H: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -124,12 +119,7 @@ def check_mfcq_lp(prob: ProblemInstance, pert: PerturbationSpec, x) -> MfcqCerti
     the point is a certified failure; a tiny eps* without a clean dual
     witness, or an LP that does not solve, is reported degenerate.
     """
-    return _lp_certificate(prob, pert, x, _constraints(prob, 1))
-
-
-def _lp_certificate(prob, pert, x, family: Family) -> MfcqCertificate:
-    """check_mfcq_lp at x with the order-1 family _constraints(prob, 1)."""
-    x, act, G, H, independent = _prepare(prob, pert, x, family)
+    act, G, H, independent = _prepare(prob, pert, x)
     if not independent:
         return MfcqCertificate(
             verdict=FAILS, active=act, reason="equality gradients linearly dependent"
@@ -184,7 +174,7 @@ def check_mfcq_hull(prob: ProblemInstance, pert: PerturbationSpec, x) -> MfcqCer
     minimized distance is <= tol, Degenerate inside (tol, DEGENERATE_BAND*tol],
     Holds beyond, and Degenerate when the distance QP does not converge.
     """
-    x, act, G, H, independent = _prepare(prob, pert, x, _constraints(prob, 1))
+    act, G, H, independent = _prepare(prob, pert, x)
     if not independent:
         return MfcqCertificate(
             verdict=FAILS, active=act, reason="equality gradients linearly dependent"
@@ -267,19 +257,14 @@ class SweepResult:
         return counts[FAILS] == 0 and counts[DEGENERATE] == 0 and bool(self.rows)
 
 
-def _max_violation(values: Family, b, P) -> np.ndarray:
-    """max_i g_i(p) - b_i at each row p of P; values is the family of g."""
-    return np.max(values(P)[0] - b, axis=1)
-
-
-def _find_interior_point(prob, values: Family, b, rng) -> np.ndarray | None:
+def _find_interior_point(prob, b, rng) -> np.ndarray | None:
     box = prob.box_array()
     best, best_val = None, 0.0
     batch = 512
     done = 0
     while done < INTERIOR_ATTEMPTS:
         pts = rng.uniform(box[:, 0], box[:, 1], size=(batch, prob.num_vars))
-        vals = _max_violation(values, b, pts)
+        vals = _max_violation(prob, b, pts)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best, best_val = pts[i], float(vals[i])
@@ -311,10 +296,8 @@ def sweep_mfcq(
     rng = np.random.default_rng(config.seed)
     b = pert.bounds(prob)
     box = prob.box_array()
-    values = Family(prob.inequalities, prob.num_vars)
-    certify = _constraints(prob, 1)
 
-    x0 = _find_interior_point(prob, values, b, rng)
+    x0 = _find_interior_point(prob, b, rng)
     if x0 is None:
         return SweepResult(status="infeasible")
 
@@ -336,7 +319,7 @@ def sweep_mfcq(
                 break
             pts = x0 + t[:, None] * dirs
             inbox = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=1)
-            infeasible = _max_violation(values, b, pts) > 0
+            infeasible = _max_violation(prob, b, pts) > 0
             hit = alive & inbox & infeasible
             t_hi[hit] = t[hit]
             alive &= inbox & ~infeasible  # rays exiting the box are dropped
@@ -346,7 +329,7 @@ def sweep_mfcq(
         t_lo, t_hi, dirs = t_lo[keep], t_hi[keep], dirs[keep]
         for _ in range(BISECT_ITERS):
             mid = 0.5 * (t_lo + t_hi)
-            bad = _max_violation(values, b, x0 + mid[:, None] * dirs) > 0
+            bad = _max_violation(prob, b, x0 + mid[:, None] * dirs) > 0
             t_hi = np.where(bad, mid, t_hi)
             t_lo = np.where(bad, t_lo, mid)
         points.extend((x0 + t_lo[:, None] * dirs)[: config.samples - len(points)])
@@ -354,11 +337,11 @@ def sweep_mfcq(
     labelled = list(enumerate(points))
     for j, pt in enumerate(config.extra_points):
         pt = _check_point(prob, pt)
-        if _max_violation(values, b, pt[None, :])[0] > DEFAULT_ACTIVE_TOL:
+        if _max_violation(prob, b, pt[None, :])[0] > DEFAULT_ACTIVE_TOL:
             continue  # an infeasible probe is dropped; its sample id stays unused
         labelled.append((config.samples + j, pt))
     rows = [
-        SweepRow(sample_id=i, x=tuple(pt), certificate=_lp_certificate(prob, pert, pt, certify))
+        SweepRow(sample_id=i, x=tuple(pt), certificate=check_mfcq_lp(prob, pert, pt))
         for i, pt in labelled
     ]
     return SweepResult(status="ok", rows=rows)

@@ -156,13 +156,34 @@ def test_json_output_writes_infinite_measures_as_null(argv, code, key, tmp_path,
 
 
 def test_catalog_writes_overflowing_coefficient_as_null(tmp_path, capsys):
-    doc = tmp_path / "problem.json"
-    doc.write_text('{"num_vars": 1, "inequalities": [{"terms": [{"coef": 1e999, "exps": [1]}]}]}')
+    # the constant term (100!)^2 of the depth-100 grid polynomial overflows
     out = tmp_path / "out.json"
-    assert main(["catalog", "--file", str(doc), "--out", str(out)]) == 0
+    argv = ["--problem", "grid_boxes", "--n", "1", "--d", "100", "--a", "0", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["catalog", *argv]) == 0
     for text in (capsys.readouterr().out, out.read_text()):
         parsed = json.loads(text, parse_constant=_reject_constant)
-        assert parsed["inequalities"][0]["terms"][0]["coef"] is None
+        assert parsed["inequalities"][1]["terms"][-1]["coef"] is None
+
+
+@pytest.mark.parametrize("command", [["scan", "--window=-0.5,0.5"], ["mfcq"], ["catalog"]])
+@pytest.mark.parametrize(
+    "old, new, path",
+    [
+        ('"coef": 1.0', '"coef": NaN', "$.inequalities[0].terms[0].coef"),
+        ("[-2.0, 1.0]", "[-Infinity, 1.0]", "$.sample_box[0]"),
+    ],
+    ids=["nan-coefficient", "infinite-box-end"],
+)
+def test_nonfinite_document_exits_2(command, old, new, path, tmp_path, capsys):
+    text = json.dumps(catalog("cusp").to_document())
+    doc = tmp_path / "problem.json"
+    doc.write_text(text.replace(old, new, 1))
+    assert doc.read_text() != text
+    assert main([*command, "--file", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.out == ""
 
 
 def test_scan_report_file_round_trips(tmp_path, capsys):

@@ -1,15 +1,19 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from perturbcq.model import (
     CATALOG_FAMILIES,
+    DocumentError,
     PerturbationSpec,
     ProblemInstance,
     active_set,
     catalog,
     feasibility_residual,
+    parse_problem,
     univariate_feasible_intervals,
 )
 from perturbcq.poly import Polynomial
@@ -252,3 +256,45 @@ def test_problem_instance_validation():
         ProblemInstance(num_vars=2, inequalities=(Polynomial.variable(1, 0),))
     with pytest.raises(ValueError):
         ProblemInstance(num_vars=2, inequalities=(g,), sample_box=((0, 1),))
+
+
+def test_problem_families_do_not_change_equality_or_documents():
+    prob, fresh = catalog("cusp"), catalog("cusp")
+    active_set(prob, diag(0.0), (0.0, 0.0))  # builds and keeps a family
+    assert prob == fresh and hash(prob) == hash(fresh)
+    assert prob.to_document() == fresh.to_document()
+
+
+CUSP_DOCUMENT = json.dumps(
+    {
+        "num_vars": 2,
+        "inequalities": [
+            {"terms": [{"coef": 1.0, "exps": [3, 0]}, {"coef": 1.0, "exps": [0, 1]}]},
+            {"terms": [{"coef": 1.0, "exps": [3, 0]}, {"coef": -1.0, "exps": [0, 1]}]},
+        ],
+        "perturbable": [1, 2],
+        "sample_box": [[-2.0, 1.0], [-2.0, 1.0]],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, path",
+    [
+        ('"coef": 1.0', '"coef": NaN', r"\$\.inequalities\[0\]\.terms\[0\]\.coef"),
+        ('"coef": 1.0', '"coef": Infinity', r"\$\.inequalities\[0\]\.terms\[0\]\.coef"),
+        ('"coef": 1.0', '"coef": 1e400', r"\$\.inequalities\[0\]\.terms\[0\]\.coef"),
+        ('"coef": 1.0', '"coef": 1' + "0" * 400, r"\$\.inequalities\[0\]\.terms\[0\]\.coef"),
+        ('"coef": 1.0', '"coef": true', r"\$\.inequalities\[0\]\.terms\[0\]\.coef"),
+        ('"num_vars": 2', '"num_vars": true', r"\$\.num_vars"),
+        ('"exps": [3, 0]', '"exps": [true, 0]', r"\$\.inequalities\[0\]\.terms\[0\]\.exps\[0\]"),
+        ('"perturbable": [1, 2]', '"perturbable": [true, 2]', r"\$\.perturbable\[0\]"),
+        ("[-2.0, 1.0]", "[-Infinity, 1.0]", r"\$\.sample_box\[0\]"),
+    ],
+    ids=["coef-nan", "coef-inf", "coef-1e400", "coef-huge-int", "coef-true", "num-vars-true",
+         "exponent-true", "perturbable-true", "box-end-inf"],
+)
+def test_parse_problem_rejects_nonfinite_numbers_and_booleans(old, new, path):
+    assert parse_problem(CUSP_DOCUMENT) == replace(catalog("cusp"), name="")
+    with pytest.raises(DocumentError, match=path):
+        parse_problem(CUSP_DOCUMENT.replace(old, new, 1))

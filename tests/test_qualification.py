@@ -6,9 +6,17 @@ import pytest
 
 from perturbcq import poly
 from perturbcq.convexsolve import ITER_LIMIT, OPTIMAL, LpProblem, SolveStatus, solve_lp
-from perturbcq.model import PerturbationSpec, ProblemInstance, catalog
+from perturbcq.model import (
+    PerturbationSpec,
+    ProblemInstance,
+    active_set,
+    catalog,
+    feasibility_residual,
+)
 from perturbcq.poly import Polynomial
 from perturbcq.qualification import (
+    DEFAULT_CERT_TOL,
+    DEFAULT_MARGIN_TOL,
     DEGENERATE,
     FAILS,
     HOLDS,
@@ -206,7 +214,7 @@ def test_lp_single_active_gradient_matches_highs():
         else:
             # HiGHS drops coefficients this small; both margins are below tol
             # and the dual multiplier of the one row decides the verdict
-            assert max(cert.margin, ref.objective) <= cert.margin_tol
+            assert max(cert.margin, ref.objective) <= DEFAULT_MARGIN_TOL
             assert ref.ineq_duals[0] > 0 and cert.multipliers == (1.0,)
             assert cert.hull_distance == pytest.approx(np.linalg.norm(a), rel=1e-12)
             assert cert.verdict == FAILS
@@ -355,7 +363,7 @@ def test_hull_distance_matches_face_enumeration():
             lam = np.array(cert.multipliers)
             assert np.all(lam >= 0.0)
             assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(G.T @ lam) <= cert.cert_tol
+            assert np.linalg.norm(G.T @ lam) <= DEFAULT_CERT_TOL
     assert fails >= 80
 
 
@@ -418,12 +426,14 @@ def test_sweep_propagates_certificate_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("point is not feasible")
 
-    monkeypatch.setattr("perturbcq.qualification._lp_certificate", broken)
+    monkeypatch.setattr("perturbcq.qualification.check_mfcq_lp", broken)
     with pytest.raises(ValueError, match="point is not feasible"):
         sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=20, seed=0))
 
 
-def test_sweep_builds_its_tables_once(monkeypatch):
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The number of polynomials of each monomial table built, in order."""
     builds = []
     real = poly._monomial_table
 
@@ -432,17 +442,42 @@ def test_sweep_builds_its_tables_once(monkeypatch):
         return real(polys, num_vars)
 
     monkeypatch.setattr(poly, "_monomial_table", counting)
+    return builds
+
+
+def test_single_point_calls_build_the_problem_families_once(table_builds):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    prob = ProblemInstance(
+        num_vars=2, inequalities=(x1 * x1 + x2 * x2 - 1.0,), equalities=(x1 - x2,)
+    )
+    points = [(t, t) for t in np.linspace(-math.sqrt(0.5), math.sqrt(0.5), 50)]
+    for x in points:
+        assert check_mfcq_lp(prob, diag(0.0), x).verdict == HOLDS
+        assert check_mfcq_hull(prob, diag(0.0), x).verdict == HOLDS
+    assert active_set(prob, diag(0.0), points[0]).indices == (0,)
+    assert feasibility_residual(prob, diag(0.0), points[1]) == (0.0, 0.0)
+    assert equality_gradients_independent(prob, points[1])
+    # the values and gradients of [g, h] for the certificates and the rank
+    # test, then their values for the point queries: one table each
+    assert table_builds == [2 + 2 * 2, 2]
+
+
+def test_sweep_builds_its_tables_once(table_builds):
     probes = ((0.0, 0.0), (1.0, 1.0), (-1.0, 0.0))  # the middle one is infeasible
     for samples in (20, 200):
         for extra_points in ((), probes):
-            builds.clear()
+            table_builds.clear()
+            prob = catalog("cusp")
             config = SweepConfig(samples=samples, seed=0, extra_points=extra_points)
-            res = sweep_mfcq(catalog("cusp"), diag(0.1), config)
+            res = sweep_mfcq(prob, diag(0.1), config)
             assert len(res.rows) == samples + 2 * bool(extra_points)
             # the values of g for the rays and probes, and the values and
             # gradients of g for the certificates: one table each, whatever
             # the sample and probe counts
-            assert builds == [2, 2 + 2 * 2]
+            assert table_builds == [2, 2 + 2 * 2]
+            # the problem keeps its families: a second sweep builds none
+            sweep_mfcq(prob, diag(-0.1), config)
+            assert table_builds == [2, 2 + 2 * 2]
 
 
 def test_sweep_cusp_probe_point_fails():
