@@ -43,6 +43,7 @@ from .qualification import (
     MfcqCertificate,
     SweepConfig,
     SweepResult,
+    SweepStats,
     check_mfcq_hull,
     check_mfcq_lp,
     equality_gradients_independent,
@@ -83,6 +84,7 @@ __all__ = [
     "MfcqCertificate",
     "SweepConfig",
     "SweepResult",
+    "SweepStats",
     "equality_gradients_independent",
     "check_mfcq_lp",
     "check_mfcq_hull",

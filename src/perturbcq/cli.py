@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 the analysis ran and found qualification failures
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -172,6 +173,7 @@ def _cmd_mfcq(args) -> int:
         "seed": args.seed,
         "verdicts": counts,
         "worst_margin": result.worst_margin,
+        "stats": dataclasses.asdict(result.stats),
     }
     lines = [
         f"sweep status: {result.status} (seed {args.seed})",

@@ -175,18 +175,19 @@ def _check_point(prob: ProblemInstance, x) -> np.ndarray:
     return x
 
 
-def _at(prob: ProblemInstance, pert: PerturbationSpec, x, order: int = 0):
+def _at(prob: ProblemInstance, pert: PerturbationSpec, X, order: int = 0):
     """From one evaluation of the problem's order-`order` family at the
-    point x, checked here: (g_i(x) - bound_i for every inequality,
-    max |equality residual|, the inequality gradients (m, n), the equality
-    gradients (r, n)); the gradients are None at order 0."""
-    values, grads, _ = prob._family(order)(_check_point(prob, x)[None, :])
+    rows of X (S, num_vars), checked by the caller: (g_i - bound_i for
+    every inequality (S, m), the max |equality residual| of each row (S,),
+    the inequality gradients (S, m, n), the equality gradients (S, r, n));
+    the gradients are None at order 0."""
+    values, grads, _ = prob._family(order)(X)
     m = len(prob.inequalities)
-    shifted = values[0, :m] - pert.bounds(prob)
-    eq = float(np.max(np.abs(values[0, m:]), initial=0.0))
+    shifted = values[:, :m] - pert.bounds(prob)
+    eq = np.abs(values[:, m:]).max(axis=1, initial=0.0)
     if grads is None:
         return shifted, eq, None, None
-    return shifted, eq, grads[0, :m], grads[0, m:]
+    return shifted, eq, grads[:, :m], grads[:, m:]
 
 
 def _max_violation(prob: ProblemInstance, b, P) -> np.ndarray:
@@ -194,23 +195,31 @@ def _max_violation(prob: ProblemInstance, b, P) -> np.ndarray:
     return np.max(prob._family(0)(P)[0][:, : len(b)] - b, axis=1)
 
 
-def _active(shifted, eq: float, tau_act: float) -> ActiveSet:
-    """active_set from the first two values of _at at the point."""
-    violation = max(float(np.max(shifted, initial=0.0)), eq)
-    if violation > tau_act:
+def _active(shifted, eq, tau_act: float) -> np.ndarray:
+    """The active mask (S, m) from the first two values of _at; raises the
+    ValueError of active_set for the first infeasible row."""
+    worst = shifted.max(axis=1, initial=0.0)
+    violation = np.where(eq > worst, eq, worst)
+    infeasible = violation > tau_act
+    if infeasible.any():
         raise ValueError(
-            f"point is infeasible (violation {violation:.3e} > tau_act {tau_act:.1e})"
+            f"point is infeasible (violation {violation[infeasible.argmax()]:.3e}"
+            f" > tau_act {tau_act:.1e})"
         )
-    idx = tuple(int(i) for i in np.flatnonzero(-shifted <= tau_act))
-    return ActiveSet(indices=idx, tolerance=tau_act)
+    return -shifted <= tau_act
+
+
+def _active_set(mask_row, tau_act: float) -> ActiveSet:
+    """The ActiveSet of one row of an active mask."""
+    return ActiveSet(indices=tuple(mask_row.nonzero()[0].tolist()), tolerance=tau_act)
 
 
 def feasibility_residual(
     prob: ProblemInstance, pert: PerturbationSpec, x
 ) -> tuple[float, float]:
     """(max inequality violation clamped at 0, max |equality residual|)."""
-    shifted, eq, _, _ = _at(prob, pert, x)
-    return float(np.max(shifted, initial=0.0)), eq
+    shifted, eq, _, _ = _at(prob, pert, _check_point(prob, x)[None, :])
+    return float(np.max(shifted, initial=0.0)), float(eq[0])
 
 
 def active_set(
@@ -220,8 +229,8 @@ def active_set(
     tau_act: float = DEFAULT_ACTIVE_TOL,
 ) -> ActiveSet:
     """Indices i with bound_i - g_i(x) <= tau_act; x must be feasible to tau_act."""
-    shifted, eq, _, _ = _at(prob, pert, x)
-    return _active(shifted, eq, tau_act)
+    shifted, eq, _, _ = _at(prob, pert, _check_point(prob, x)[None, :])
+    return _active_set(_active(shifted, eq, tau_act)[0], tau_act)
 
 
 # ---------------------------------------------------------------------------

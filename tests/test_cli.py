@@ -137,6 +137,26 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
+def test_mfcq_sweep_reports_its_stats(capsys):
+    code = main(
+        ["mfcq", "--problem", "cusp", "--alpha", "0.1", "--samples", "200", "--format", "json"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["verdicts"]["holds"] == 200
+    stats = payload["stats"]
+    assert (stats["closed_form"], stats["lp"], stats["probes_rejected"]) == (200, 0, 0)
+    assert stats["rays"] - stats["rays_off_box"] >= 200
+
+
+def test_mfcq_sweep_without_boundary_point_exits_2(capsys):
+    # every ray leaves the box while still feasible: no point is certified
+    code = main(["mfcq", "--problem", "cusp", "--alpha", "100", "--samples", "10"])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["sweep status: no_boundary (seed 0)", "holds=0 fails=0 degenerate=0"]
+
+
 @pytest.mark.parametrize(
     "argv, code, key",
     [

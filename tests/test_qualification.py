@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from perturbcq import poly
-from perturbcq.convexsolve import ITER_LIMIT, OPTIMAL, LpProblem, SolveStatus, solve_lp
+from perturbcq import poly, qualification
+from perturbcq.convexsolve import (
+    ITER_LIMIT,
+    OPTIMAL,
+    LpProblem,
+    SolveStatus,
+    minimize_simplex_qp,
+    solve_lp,
+)
 from perturbcq.model import (
     PerturbationSpec,
     ProblemInstance,
@@ -264,6 +271,70 @@ def test_hull_single_active_constraint():
     assert cert.hull_distance == pytest.approx(math.sqrt(9.0 + 1.0), rel=1e-9)
 
 
+@pytest.fixture
+def qp_calls(monkeypatch):
+    """The number of simplex QPs the hull certificate solves."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize_simplex_qp(*args, **kwargs)
+
+    monkeypatch.setattr(qualification, "minimize_simplex_qp", counting)
+    return calls
+
+
+def hull_by_qp(G, H):
+    """The hull distance, multipliers and kappa of the active gradients G
+    with equality gradients H, through the simplex QP at every k."""
+    if len(H):
+        Qb, _ = np.linalg.qr(H.T)
+        Gp = G - (G @ Qb) @ Qb.T
+    else:
+        Gp = G
+    M = Gp @ Gp.T
+    qp = minimize_simplex_qp(2.0 * M, np.zeros(len(G)), 1.0, tol=2e-13 * float(np.max(np.abs(M))))
+    assert qp.status == OPTIMAL
+    lam = qp.x
+    resid = G.T @ lam - Gp.T @ lam
+    kappa = np.linalg.lstsq(H.T, resid, rcond=None)[0] if len(H) else np.zeros(0)
+    return float(np.linalg.norm(Gp.T @ lam)), tuple(lam), tuple(kappa)
+
+
+def test_hull_one_active_gradient_solves_no_qp(qp_calls):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    g = x1 * x1 * x1 + 2.0 * x2  # gradient (3 x1^2, 2)
+    cases = [
+        (ProblemInstance(num_vars=2, inequalities=(g,)), (0.5, -0.0625)),
+        # the equality x1 - x2 = 0 projects the gradient (0, 2) to (1, 1)
+        (ProblemInstance(num_vars=2, inequalities=(g,), equalities=(x1 - x2,)), (0.0, 0.0)),
+        # the gradient (0, 2) lies in the span of the equality gradient (0, 1)
+        (ProblemInstance(num_vars=2, inequalities=(g,), equalities=(x2 - x1 * x1,)), (0.0, 0.0)),
+    ]
+    for (prob, pt), verdict in zip(cases, (HOLDS, HOLDS, FAILS)):
+        cert = check_mfcq_hull(prob, diag(0.0), pt)
+        assert cert.active.indices == (0,)
+        _, grads, _ = prob._family(1)(np.array([pt]))
+        m = len(prob.inequalities)
+        dist, lam, kappa = hull_by_qp(grads[0, :m], grads[0, m:])
+        assert (cert.hull_distance, cert.multipliers, cert.kappa) == (dist, lam, kappa)
+        assert cert.verdict == verdict
+    assert not qp_calls  # hull_by_qp calls the solver directly
+    # two active gradients still take the QP
+    assert check_mfcq_hull(catalog("cusp"), diag(0.0), (0.0, 0.0)).verdict == FAILS
+    assert qp_calls == [1]
+
+
+def test_hull_zero_active_gradient_fails(qp_calls):
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    prob = ProblemInstance(num_vars=2, inequalities=(x1 * x1 + x2 * x2,))
+    cert = check_mfcq_hull(prob, diag(0.0), (0.0, 0.0))
+    assert cert.verdict == FAILS
+    assert cert.hull_distance == 0.0
+    assert cert.multipliers == (1.0,)
+    assert not qp_calls
+
+
 def test_equality_dependence_forces_failure():
     x1 = Polynomial.variable(2, 0)
     x2 = Polynomial.variable(2, 1)
@@ -426,9 +497,131 @@ def test_sweep_propagates_certificate_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("point is not feasible")
 
-    monkeypatch.setattr("perturbcq.qualification.check_mfcq_lp", broken)
+    monkeypatch.setattr("perturbcq.qualification._certify", broken)
     with pytest.raises(ValueError, match="point is not feasible"):
         sweep_mfcq(catalog("cusp"), diag(0.1), SweepConfig(samples=20, seed=0))
+
+
+def tiny_gradient_problem():
+    # g = x1^3 <= 0: at every boundary point x1 ~ 0 the one active gradient
+    # (3 x1^2, 0) has a margin ||g||_1 below DEFAULT_MARGIN_TOL, so the
+    # dual-1 branch certifies
+    x1 = Polynomial.variable(2, 0)
+    return ProblemInstance(num_vars=2, inequalities=(x1 * x1 * x1,))
+
+
+@pytest.mark.parametrize(
+    "prob, alpha, probes",
+    [
+        (catalog("cusp"), 0.1, ((-1.0, 0.0),)),  # k = 0 probe, k = 1 boundary
+        (catalog("cusp"), -0.1, ()),
+        (catalog("cusp"), 0.0, ((0.0, 0.0), (5.0, 5.0))),  # two active: one LP
+        # the box corner has two active gradients, (-0.5, -0.5) none
+        (catalog("ball_box", n=2, a=(0.4, 0.2)), 6.8, ((-1.0, -1.0), (-0.5, -0.5))),
+        # both discs are active where their boundaries cross
+        (catalog("tangent_discs"), 0.3, ((1.0, math.sqrt(0.3)),)),
+        (tiny_gradient_problem(), 0.0, ((0.0, 0.5),)),
+    ],
+    ids=["cusp-k0", "cusp-neg", "cusp-lp", "ball-box-corner", "discs-crossing", "dual-1"],
+)
+def test_sweep_certificates_equal_single_point_calls(prob, alpha, probes):
+    res = sweep_mfcq(prob, diag(alpha), SweepConfig(samples=80, seed=3, extra_points=probes))
+    assert res.status == "ok"
+    for row in res.rows:
+        assert row.certificate == check_mfcq_lp(prob, diag(alpha), row.x)
+    ks = [len(row.certificate.active.indices) for row in res.rows]
+    assert res.stats.closed_form + res.stats.lp == len(res.rows)
+    assert res.stats.lp == sum(k > 1 for k in ks)
+
+
+def test_sweep_certifies_the_tiny_gradient_branch():
+    res = sweep_mfcq(tiny_gradient_problem(), diag(0.0), SweepConfig(samples=30, seed=1))
+    assert len(res.rows) == 30
+    for row in res.rows:
+        cert = row.certificate
+        assert cert.verdict == FAILS and cert.multipliers == (1.0,)
+        assert cert.margin <= DEFAULT_MARGIN_TOL
+    assert (res.stats.closed_form, res.stats.lp) == (30, 0)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The number of separating-direction LPs solved."""
+    calls = []
+
+    def counting(lp):
+        calls.append(1)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(qualification, "solve_lp", counting)
+    return calls
+
+
+@pytest.fixture
+def ray_draws(monkeypatch):
+    """The number of ray directions drawn by the sweeps' generators."""
+    draws = []
+    real = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def uniform(self, *args, **kwargs):
+            return self._rng.uniform(*args, **kwargs)
+
+        def normal(self, size):
+            draws.append(size[0])
+            return self._rng.normal(size=size)
+
+    monkeypatch.setattr(qualification.np.random, "default_rng", Counting)
+    return draws
+
+
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+def test_sweep_stats_of_the_benchmark_cusp_sweeps(alpha, lp_calls, ray_draws):
+    res = sweep_mfcq(catalog("cusp"), diag(alpha), SweepConfig(samples=1000, seed=0))
+    assert len(res.rows) == 1000
+    assert all(len(row.certificate.active.indices) == 1 for row in res.rows)
+    assert (res.stats.closed_form, res.stats.lp) == (1000, 0)
+    assert lp_calls == []
+    assert res.stats.rays == sum(ray_draws)
+    assert res.stats.rays - res.stats.rays_off_box >= 1000
+    assert res.stats.probes_rejected == 0
+
+
+def test_sweep_stats_count_lps_and_rejected_probes(lp_calls):
+    config = SweepConfig(samples=20, seed=0, extra_points=((0.0, 0.0),))
+    res = sweep_mfcq(catalog("cusp"), diag(0.0), config)
+    assert res.rows[-1].certificate.active.indices == (0, 1)
+    assert (res.stats.closed_form, res.stats.lp, res.stats.probes_rejected) == (20, 1, 0)
+    assert lp_calls == [1]
+    config = SweepConfig(samples=20, seed=0, extra_points=((5.0, 5.0),))
+    res = sweep_mfcq(catalog("cusp"), diag(0.0), config)
+    assert res.stats.probes_rejected == 1
+    assert [row.sample_id for row in res.rows] == list(range(20))
+
+
+def test_sweep_stats_are_deterministic_for_a_seed():
+    config = SweepConfig(samples=50, seed=4)
+    first = sweep_mfcq(catalog("cusp"), diag(0.1), config)
+    second = sweep_mfcq(catalog("cusp"), diag(0.1), config)
+    assert first.stats == second.stats
+
+
+def test_sweep_without_boundary_point(ray_draws):
+    # at alpha = 100 the cusp's feasible set holds the whole box, so every
+    # ray leaves the box while still feasible
+    res = sweep_mfcq(catalog("cusp"), diag(100.0), SweepConfig(samples=10, seed=0))
+    assert res.status == "no_boundary"
+    assert not res.rows and not res.all_hold
+    assert res.stats.rays == sum(ray_draws) == res.stats.rays_off_box > 0
+    # a feasible probe is still certified; the status still names the sweep
+    config = SweepConfig(samples=10, seed=0, extra_points=((0.0, 0.0),))
+    res = sweep_mfcq(catalog("cusp"), diag(100.0), config)
+    assert res.status == "no_boundary"
+    assert [row.sample_id for row in res.rows] == [10]
+    assert res.rows[0].certificate.verdict == HOLDS
 
 
 @pytest.fixture
