@@ -8,12 +8,8 @@ homotopy in the perturbation level.
 """
 
 from .convexsolve import (
-    CappedSimplexQp,
     LpProblem,
     SolveStatus,
-    project_capped_simplex,
-    project_simplex,
-    solve_capped_simplex_qp,
     solve_lp,
 )
 from .esqm import (
@@ -75,12 +71,8 @@ __all__ = [
     "catalog",
     "univariate_feasible_intervals",
     "LpProblem",
-    "CappedSimplexQp",
     "SolveStatus",
     "solve_lp",
-    "solve_capped_simplex_qp",
-    "project_simplex",
-    "project_capped_simplex",
     "MfcqCertificate",
     "SweepConfig",
     "SweepResult",

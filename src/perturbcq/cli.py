@@ -3,7 +3,9 @@ homotopy, and catalog.  Problem documents are parsed by
 ``model.parse_problem``.
 
 Exit codes: 0 success, 1 the analysis ran and found qualification failures
-(or a run that did not converge), 2 usage or input errors.
+(or a run that did not converge), 2 usage or input errors, including an
+unreadable or unwritable file.  All JSON output is strict: a non-finite
+number is written as null.
 """
 
 from __future__ import annotations
@@ -118,13 +120,13 @@ def _save(payload, path) -> None:
 
 
 def _emit(payload: dict, args, text_lines) -> None:
+    if args.out:
+        _save(payload, args.out)
     if args.format == "json":
         print(_json(payload))
     else:
         for line in text_lines:
             print(line)
-    if args.out:
-        _save(payload, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +196,17 @@ def _cmd_mfcq(args) -> int:
 def _cmd_scan(args) -> int:
     prob = _load_problem(args)
     report = scan_singular(prob, args.window, args.starts, args.seed)
-    if args.out:
-        if args.format == "csv":
-            report.write_csv(args.out)
-        else:
-            report.write_json(args.out)
     lines = [
         f"problem: {report.problem}  window: {report.window}  seed: {report.seed}",
         f"singular levels ({len(report.singular_values)}, bound {report.bound}):",
         *[f"  alpha = {w.alpha:.9f}  (K={list(w.K)}, L={list(w.L)})" for w in report.singular_values],
     ]
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
+    if args.format == "csv":
+        report.write_csv(args.out)
         for line in lines:
             print(line)
+    else:
+        _emit(report.to_json_dict(), args, lines)
     return 0
 
 
@@ -265,19 +263,13 @@ def _cmd_homotopy(args) -> int:
     if f is None:
         raise DocumentError("an objective is required (--objective or --objective-linear)")
     trace = homotopy_run(prob, f, args.schedule, _esqm_params(args, prob, args.schedule[0]))
-    if args.out:
-        trace.write_json(args.out)
     payload = trace.to_json_dict()
     payload["seed"] = args.seed
     lines = [
         f"alpha = {lvl.alpha:.6g}: value = {lvl.value:.10g} ({lvl.status})"
         for lvl in trace.levels
     ]
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    _emit(payload, args, lines)
     return 0 if all(lvl.status == "converged" for lvl in trace.levels) else 1
 
 
@@ -367,7 +359,7 @@ def main(argv=None) -> int:
         if args.format == "csv" and not args.out:
             raise ValueError("--format csv is written only to a file; add --out PATH")
         return args.func(args)
-    except (DocumentError, ValueError, RuntimeError) as exc:
+    except (DocumentError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

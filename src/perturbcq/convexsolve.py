@@ -1,23 +1,25 @@
-"""Small dense convex solvers: an LP front-end (separating-direction form)
-and one exact active-set solver for convex QPs over a scaled simplex, which
-also solves the capped-simplex concave QP through a slack coordinate."""
+"""Small dense convex solvers: ``solve_lp``, an LP front end over SciPy's
+HiGHS, and ``minimize_simplex_qp``, an exact active-set solver for convex QPs
+over a scaled simplex.
+
+The dual of an ESQM step is the capped-simplex QP: maximize
+0.5 mu'Q mu + q'mu over {mu >= 0, sum(mu) <= beta}, Q symmetric negative
+semidefinite.  ``_slack_embedding`` turns it into a simplex QP in
+(mu, slack), which ``minimize_simplex_qp`` solves.
+"""
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LpProblem",
-    "CappedSimplexQp",
     "SolveStatus",
     "solve_lp",
     "minimize_simplex_qp",
-    "solve_capped_simplex_qp",
-    "project_capped_simplex",
-    "project_simplex",
 ]
 
 OPTIMAL = "optimal"
@@ -41,16 +43,6 @@ class LpProblem:
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     maximize: bool = False
-
-
-@dataclass
-class CappedSimplexQp:
-    """maximize 0.5 mu' Q mu + q' mu over {mu >= 0, sum(mu) <= beta};
-    Q must be symmetric negative semidefinite."""
-
-    Q: np.ndarray
-    q: np.ndarray
-    beta: float
 
 
 @dataclass
@@ -137,31 +129,6 @@ def solve_lp(lp: LpProblem) -> SolveStatus:
         eq_duals=nu,
         kkt_residual=resid,
     )
-
-
-def project_simplex(v, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = total} (sort-threshold)."""
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks >= 0  # >= keeps rho = 0 when total = 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def project_capped_simplex(v, beta: float) -> np.ndarray:
-    """Euclidean projection onto {mu >= 0, sum(mu) <= beta}."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    w = np.maximum(v, 0.0)
-    if w.sum() <= beta:
-        return w
-    return project_simplex(v, beta)
 
 
 @functools.cache
@@ -284,39 +251,3 @@ def _slack_embedding(Q: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarr
     P = np.zeros((m + 1, m + 1))
     P[:m, :m] = -Q
     return P, np.append(-q, 0.0)
-
-
-def solve_capped_simplex_qp(
-    qp: CappedSimplexQp, tol: float = 1e-9, max_iter: int = 10_000
-) -> SolveStatus:
-    """Exact solve by minimize_simplex_qp on the embedding
-    {(mu, slack) >= 0, sum(mu) + slack = beta} with zero cost on the slack.
-
-    tol bounds the multipliers' sign violation and max_iter the face solves,
-    whose count the status reports.
-    The fixed-point residual ||mu - proj(mu + grad)||_inf is the reported
-    KKT residual.
-    """
-    Q = np.asarray(qp.Q, dtype=float)
-    q = np.asarray(qp.q, dtype=float)
-    if Q.shape != (len(q), len(q)):
-        raise ValueError("Q/q dimension mismatch")
-    if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, float(np.max(np.abs(Q)))):
-        raise ValueError("Q must be symmetric")
-    if qp.beta < 0:
-        raise ValueError("beta must be nonnegative")
-    eigs = np.linalg.eigvalsh(Q)
-    scale = max(1.0, float(np.max(np.abs(eigs))) if len(eigs) else 0.0)
-    if len(eigs) and eigs[-1] > 1e-9 * scale:
-        raise ValueError("Q must be negative semidefinite")
-
-    st = minimize_simplex_qp(*_slack_embedding(Q, q), float(qp.beta), tol, max_iter)
-    mu = st.x[: len(q)]
-    fixed_point = project_capped_simplex(mu + Q @ mu + q, qp.beta)
-    return SolveStatus(
-        status=st.status,
-        objective=float(0.5 * mu @ Q @ mu + q @ mu),
-        x=mu,
-        kkt_residual=float(np.max(np.abs(mu - fixed_point), initial=0.0)),
-        face_solves=st.face_solves,
-    )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -341,10 +340,6 @@ class HomotopyTrace:
                 for lvl in self.levels
             ]
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
 
 def homotopy_run(

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 DEFAULT_ACTIVE_TOL = 1e-7
+# a breakpoint of a 1-D feasible set that borders no feasible segment is an
+# isolated feasible point when no constraint exceeds its bound by more than this
+BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -383,7 +386,6 @@ def univariate_feasible_intervals(
     prob: ProblemInstance,
     pert: PerturbationSpec,
     window: tuple[float, float],
-    boundary_tol: float = 1e-9,
 ) -> FeasibleSet1D:
     """Exact feasible set of a 1-variable inequality system on a window,
     as a union of closed intervals and isolated points.
@@ -425,7 +427,7 @@ def univariate_feasible_intervals(
     left, right = ok[:-1], ok[1:]
     starts, ends = np.flatnonzero(~left & right), np.flatnonzero(left & ~right)
     intervals = [(pts[i], pts[j]) for i, j in zip(starts, ends)]
-    isolated = [pts[k] for k in np.flatnonzero(~left & ~right & (violation(pts) <= boundary_tol))]
+    isolated = [pts[k] for k in np.flatnonzero(~left & ~right & (violation(pts) <= BOUNDARY_TOL))]
     return FeasibleSet1D(intervals=tuple(intervals), points=tuple(isolated))
 
 

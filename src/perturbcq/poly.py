@@ -310,6 +310,7 @@ class Family:
 
 
 ROOT_COLLAPSE = 1e-8  # roots closer than this times max(1, |t|) are one root
+ROOT_RESIDUAL_TOL = 1e-12  # Newton polishing stops once |p(t)| is this small
 
 
 def _coeffs_ascending(p: Polynomial) -> np.ndarray:
@@ -319,9 +320,7 @@ def _coeffs_ascending(p: Polynomial) -> np.ndarray:
     return out
 
 
-def univariate_real_roots(
-    p: Polynomial, lo: float, hi: float, residual_tol: float = 1e-12
-) -> list[float]:
+def univariate_real_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     """All real roots of a univariate polynomial in [lo, hi], sorted and
     multiplicity-collapsed.
 
@@ -344,7 +343,7 @@ def univariate_real_roots(
     def polish(t: float, a: float, b: float) -> float:
         for _ in range(30):
             ft = p.evaluate(np.array([t]))
-            if abs(ft) <= residual_tol:
+            if abs(ft) <= ROOT_RESIDUAL_TOL:
                 break
             dt = dp.evaluate(np.array([t]))
             if dt == 0.0:
@@ -360,7 +359,7 @@ def univariate_real_roots(
         t = -c[0] / c[1]
         return [t] if lo - 1e-12 <= t <= hi + 1e-12 else []
 
-    crits = univariate_real_roots(dp, lo, hi, residual_tol)
+    crits = univariate_real_roots(dp, lo, hi)
     breakpoints = sorted({lo, hi, *crits})
 
     # a critical point where p is roundoff is a multiple root: a Newton step

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -311,10 +310,6 @@ class ScanReport:
             starts_used=int(data["starts_used"]),
             seed=int(data["seed"]),
         )
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -175,6 +175,41 @@ def test_json_output_writes_infinite_measures_as_null(argv, code, key, tmp_path,
         assert json.loads(text, parse_constant=_reject_constant)[key] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--problem", "cusp", "--window=-0.5,0.5", "--starts", "50"],
+        ["homotopy", "--problem", "cusp_boxed", "--objective-linear=-1,0",
+         "--schedule", "0.1,0.01", "--beta0", "10"],
+    ],
+    ids=["scan", "homotopy"],
+)
+def test_json_out_file_equals_strict_stdout(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert json.loads(out.read_text(), parse_constant=_reject_constant) == printed
+    assert printed["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mfcq", "--problem", "cusp", "--alpha", "0.1", "--samples", "10"],
+        ["scan", "--problem", "cusp", "--window=-0.5,0.5", "--starts", "50"],
+        ["esqm", "--problem", "cusp_boxed", "--objective-linear=-1,0", "--alpha", "0.1",
+         "--beta0", "10", "--format", "csv"],
+    ],
+    ids=["mfcq-sweep", "scan", "esqm-csv"],
+)
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
+
+
 def test_catalog_writes_overflowing_coefficient_as_null(tmp_path, capsys):
     # the constant term (100!)^2 of the depth-100 grid polynomial overflows
     out = tmp_path / "out.json"

@@ -12,14 +12,10 @@ from perturbcq.convexsolve import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    CappedSimplexQp,
     LpProblem,
     _face_basis,
     _slack_embedding,
     minimize_simplex_qp,
-    project_capped_simplex,
-    project_simplex,
-    solve_capped_simplex_qp,
     solve_lp,
 )
 
@@ -163,75 +159,37 @@ def test_lp_matches_vertex_enumeration_and_duality():
 
 
 # ---------------------------------------------------------------------------
-# projections
+# capped-simplex QP, solved as the ESQM step solves its dual
 # ---------------------------------------------------------------------------
 
 
-def test_projection_examples():
-    assert project_capped_simplex(np.array([-1.0, -2.0]), 5.0) == pytest.approx([0.0, 0.0])
-    assert project_capped_simplex(np.array([2.0, 0.0]), 1.0) == pytest.approx([1.0, 0.0])
-    assert project_capped_simplex(np.array([0.2, 0.1]), 1.0) == pytest.approx([0.2, 0.1])
-    with pytest.raises(ValueError):
-        project_capped_simplex(np.array([1.0]), -0.5)
+def solve_dual(Q, q, beta, **kwargs):
+    """The ESQM step's call: (mu, slack) on {sum = beta}, mu = x[:m]."""
+    return minimize_simplex_qp(*_slack_embedding(Q, q), beta, tol=1e-10, **kwargs)
 
 
-def test_projection_variational_inequality():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        m = int(rng.integers(1, 6))
-        beta = float(rng.uniform(0.1, 3.0))
-        v = rng.normal(scale=2.0, size=m)
-        p = project_capped_simplex(v, beta)
-        assert np.all(p >= 0) and p.sum() <= beta + 1e-12
-        # random feasible comparison points
-        z = rng.dirichlet(np.ones(m)) * rng.uniform(0, beta)
-        assert (v - p) @ (z - p) <= 1e-10
-
-
-def test_project_simplex_sums_to_total():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        v = rng.normal(size=4)
-        p = project_simplex(v, 2.0)
-        assert p.sum() == pytest.approx(2.0, abs=1e-12)
-        assert np.all(p >= 0)
-        assert np.all(project_simplex(v, 0.0) == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# capped-simplex QP
-# ---------------------------------------------------------------------------
+def dual_objective(Q, q, x):
+    mu = x[: len(q)]
+    return float(0.5 * mu @ Q @ mu + q @ mu)
 
 
 def test_qp_trivial_interior_zero():
-    st = solve_capped_simplex_qp(CappedSimplexQp(Q=-np.eye(2), q=np.zeros(2), beta=1.0))
+    st = solve_dual(-np.eye(2), np.zeros(2), 1.0)
     assert st.status == OPTIMAL
-    assert st.x == pytest.approx([0.0, 0.0], abs=1e-9)
+    assert st.x == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
 
 
 def test_qp_cap_active():
-    st = solve_capped_simplex_qp(
-        CappedSimplexQp(Q=-np.eye(2), q=np.array([2.0, 0.0]), beta=1.0)
-    )
+    st = solve_dual(-np.eye(2), np.array([2.0, 0.0]), 1.0)
     assert st.status == OPTIMAL
-    assert st.x == pytest.approx([1.0, 0.0], abs=1e-8)
+    # a zero slack is the binding cap sum(mu) = beta
+    assert st.x == pytest.approx([1.0, 0.0, 0.0], abs=1e-8)
 
 
 def test_qp_interior_stationary():
-    st = solve_capped_simplex_qp(
-        CappedSimplexQp(Q=-np.eye(2), q=np.array([0.3, 0.2]), beta=1.0)
-    )
+    st = solve_dual(-np.eye(2), np.array([0.3, 0.2]), 1.0)
     assert st.status == OPTIMAL
-    assert st.x == pytest.approx([0.3, 0.2], abs=1e-9)
-
-
-def test_qp_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        solve_capped_simplex_qp(CappedSimplexQp(Q=np.eye(2), q=np.zeros(2), beta=1.0))
-    with pytest.raises(ValueError):
-        solve_capped_simplex_qp(
-            CappedSimplexQp(Q=np.array([[0.0, 1.0], [0.0, 0.0]]), q=np.zeros(2), beta=1.0)
-        )
+    assert st.x == pytest.approx([0.3, 0.2, 0.5], abs=1e-9)
 
 
 # Dual QPs of esqm_step on cusp_boxed (f = -x1, the template of
@@ -290,11 +248,11 @@ def test_qp_matches_face_enumeration():
     for Q, q, beta in face_enumeration_cases():
         # a budget of 3 face solves per coordinate (with the slack), not 10_000
         budget = 3 * (len(q) + 1)
-        st = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=beta), max_iter=budget)
+        st = solve_dual(Q, q, beta, max_iter=budget)
         assert st.status == OPTIMAL
         assert 1 <= st.face_solves <= budget or beta == 0.0
         oracle = qp_face_oracle(Q, q, beta)
-        assert abs(st.objective - oracle) <= 1e-9 * (1.0 + abs(oracle))
+        assert abs(dual_objective(Q, q, st.x) - oracle) <= 1e-9 * (1.0 + abs(oracle))
 
 
 def test_qp_warm_starts_match_face_enumeration():
@@ -317,10 +275,8 @@ def test_qp_warm_starts_match_face_enumeration():
         for x0 in (vertex, interior, wrong):
             st = minimize_simplex_qp(P, c, beta, max_iter=budget, x0=x0)
             assert st.status == OPTIMAL
-            mu = st.x[:m]
             assert np.all(st.x >= 0) and abs(st.x.sum() - beta) <= 1e-12 * (1.0 + beta)
-            objective = float(0.5 * mu @ Q @ mu + q @ mu)
-            assert abs(objective - oracle) <= 1e-9 * (1.0 + abs(oracle))
+            assert abs(dual_objective(Q, q, st.x) - oracle) <= 1e-9 * (1.0 + abs(oracle))
 
 
 @pytest.mark.parametrize(
@@ -366,7 +322,7 @@ def test_qp_handles_singular_curvature():
     a = np.array([[1.0, 1.0]])
     Q = -(a.T @ a)
     q = np.array([0.5, 0.5])
-    st = solve_capped_simplex_qp(CappedSimplexQp(Q=Q, q=q, beta=2.0))
+    st = solve_dual(Q, q, 2.0)
     assert st.status == OPTIMAL
     oracle = qp_face_oracle(Q, q, 2.0)
-    assert st.objective == pytest.approx(oracle, abs=1e-8)
+    assert dual_objective(Q, q, st.x) == pytest.approx(oracle, abs=1e-8)
